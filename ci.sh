@@ -20,10 +20,21 @@ TREEQUERY_WORKERS=1 cargo test --workspace -q
 echo "==> cargo test (TREEQUERY_WORKERS=4)"
 TREEQUERY_WORKERS=4 cargo test --workspace -q
 
+echo "==> determinism: observation-heavy test binaries, 5 runs each"
+# These binaries observe spans and allocations while other tests run on
+# parallel threads; per-query captures must keep every run green at
+# cargo's default test-thread count.
+for run in 1 2 3 4 5; do
+    echo "    run $run/5"
+    cargo test -q --test stress_engine
+    cargo test -q -p treequery-bench --lib
+    cargo test -q -p treequery-obs --lib
+done
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "==> noop-recorder + counting-allocator overhead gate"
+echo "==> disabled-span + counting-allocator overhead gate"
 cargo run -p treequery-bench --release --bin harness -q -- --check-noop-overhead
 
 echo "==> zero-alloc steady-state gate (workers 1 and 4)"

@@ -15,11 +15,11 @@
 //! cargo run -p treequery-bench --release --bin harness fuzz --seconds 10 --seed 0xC0C4
 //! ```
 //!
-//! `--report <file>` additionally runs each experiment under a collecting
-//! span recorder and writes a machine-readable JSON report (wall times,
-//! per-span latency percentiles, submitted engine counters).
+//! `--report <file>` additionally runs each experiment inside an
+//! observation capture and writes a machine-readable JSON report (wall
+//! times, per-span latency percentiles, submitted engine counters).
 //!
-//! `--check-noop-overhead` measures the disabled-recorder span cost (with
+//! `--check-noop-overhead` measures the cost of a span outside any capture (with
 //! and without a flight-recorder install/uninstall cycle) and the
 //! disabled-path cost of the counting allocator; it fails (exit 1) if
 //! the span cost regressed more than 5% past the recorded baseline in
@@ -192,7 +192,7 @@ fn counting_alloc_overhead() -> f64 {
     best_ratio
 }
 
-/// Fails (exit 1) if the disabled-recorder span overhead regressed more
+/// Fails (exit 1) if the disabled-span overhead regressed more
 /// than 5% past the recorded baseline ratio, or if the counting
 /// allocator's disabled path adds more than 10% to a raw alloc/free
 /// loop.
@@ -208,7 +208,7 @@ fn check_noop_overhead() {
     let budget = max_ratio * 1.05;
     let measured = e18_observability::noop_overhead();
     println!(
-        "noop-recorder overhead: measured ratio {:.4} ({:.2}ns/span), \
+        "disabled-span overhead: measured ratio {:.4} ({:.2}ns/span), \
          baseline {max_ratio:.2}, budget {budget:.4}",
         measured.ratio, measured.per_span_ns
     );
@@ -221,10 +221,8 @@ fn check_noop_overhead() {
         );
         failed = true;
     }
-    // The flight recorder shares the span gate's atomic word: once
-    // uninstalled, the disabled path must cost exactly what it did before
-    // flight recording existed (same budget), and an install/uninstall
-    // cycle must leave no residue behind.
+    // An install/uninstall cycle of the flight recorder must leave no
+    // residue behind: the disabled path keeps the same budget.
     {
         use treequery_core::obs::flight;
         flight::install(flight::FlightConfig::default());
@@ -243,33 +241,26 @@ fn check_noop_overhead() {
             );
             failed = true;
         }
-        let idle = e18_observability::flight_idle_overhead();
-        println!(
-            "flight-installed idle cost (no query in scope, informational): \
-             {:.2}ns/span",
-            idle.per_span_ns
-        );
     }
-    // Request tracing rides the same flag word: after a full tracing
-    // round trip (install, request-context scope, response annotation,
-    // uninstall) the disabled span path must still meet the original
-    // budget — tracing support cannot tax servers that never enable it.
+    // After a full request-tracing round trip (install, a recorded
+    // request with its context, a captured span and a response
+    // annotation, uninstall) the disabled span path must still meet the
+    // original budget: every capture it opened is closed again, so
+    // tracing support cannot tax servers that never enable it.
     {
         use treequery_core::obs::flight;
         flight::install(flight::FlightConfig::default());
-        let id = flight::begin_query();
         let ctx = flight::RequestCtx {
             tenant: "overhead-probe".to_owned(),
             trace_id: "overhead-probe".to_owned(),
             admission_wait_ns: 0,
         };
-        flight::with_request_ctx(ctx, || {
-            flight::with_current_query(id, || {
+        flight::record_request(|| {
+            flight::with_request_ctx(ctx, || {
                 let _span = treequery_core::obs::span("overhead.probe");
-            })
+            });
+            flight::annotate_response(1);
         });
-        let _ = flight::take_spans(id);
-        flight::annotate_response(id, 1, 1);
         flight::uninstall();
         let traced = e18_observability::noop_overhead();
         println!(

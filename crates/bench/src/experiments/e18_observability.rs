@@ -1,5 +1,5 @@
 //! E18 — observability: measured span counts vs the paper's predicted
-//! bounds, and the noop-recorder overhead budget.
+//! bounds, and the disabled-span overhead budget.
 //!
 //! Three validations on synthetic workloads:
 //!
@@ -12,7 +12,7 @@
 //!    formulas whose size — the quantity Minoux's algorithm is linear in
 //!    — grows proportionally to the tree: the measured
 //!    `hornsat.solve.formula_size` per node stays constant.
-//! 3. **Noop overhead.** With no recorder installed a span is one relaxed
+//! 3. **Noop overhead.** With no capture open a span is one relaxed
 //!    atomic load; the instrumented hot loop must run within a few
 //!    percent of the uninstrumented one (the budget `ci.sh` enforces via
 //!    `--check-noop-overhead`).
@@ -71,12 +71,18 @@ fn time_loop(iters: u64, instrumented: bool) -> std::time::Duration {
 }
 
 /// Measures the disabled-span overhead: the same arithmetic hot loop with
-/// and without a span guard per iteration, medians over several reps,
-/// with any installed recorder temporarily removed (so the measurement
-/// covers the *disabled* path even under `--report`).
+/// and without a span guard per iteration, minimum over several reps.
+/// The loop runs on a fresh thread, outside any capture, so it measures
+/// an inert span even when the caller is captured (under `--report`).
 pub fn noop_overhead() -> NoopOverhead {
-    let previous = obs::current_recorder();
-    obs::clear_recorder();
+    std::thread::scope(|s| {
+        s.spawn(measure_noop_overhead)
+            .join()
+            .expect("overhead probe panicked")
+    })
+}
+
+fn measure_noop_overhead() -> NoopOverhead {
     const ITERS: u64 = 100_000;
     const REPS: usize = 9;
     // Warm both paths once before measuring.
@@ -91,24 +97,10 @@ pub fn noop_overhead() -> NoopOverhead {
         plain = plain.min(time_loop(ITERS, false));
         instrumented = instrumented.min(time_loop(ITERS, true));
     }
-    if let Some(recorder) = previous {
-        obs::set_recorder(recorder);
-    }
     let ratio = instrumented.as_secs_f64() / plain.as_secs_f64().max(1e-12);
     let per_span_ns =
         (instrumented.as_secs_f64() - plain.as_secs_f64()).max(0.0) * 1e9 / ITERS as f64;
     NoopOverhead { ratio, per_span_ns }
-}
-
-/// Measures the span cost with the flight recorder *installed* but no
-/// query in scope — the flag is set, so spans take the slow path, find no
-/// current query, and come back inert. `--check-noop-overhead` reports
-/// this informationally alongside the gated disabled-path measurement.
-pub fn flight_idle_overhead() -> NoopOverhead {
-    obs::flight::install(obs::flight::FlightConfig::default());
-    let measured = noop_overhead();
-    obs::flight::uninstall();
-    measured
 }
 
 pub fn run() {
@@ -191,10 +183,10 @@ pub fn run() {
         min, max
     );
 
-    // (3) the disabled-recorder overhead budget.
+    // (3) the disabled-span overhead budget.
     let overhead = noop_overhead();
     println!(
-        "\nnoop-recorder overhead: {:.2}% on the hot loop \
+        "\ndisabled-span overhead: {:.2}% on the hot loop \
          ({:.2}ns per span; budget enforced by --check-noop-overhead)",
         (overhead.ratio - 1.0) * 100.0,
         overhead.per_span_ns

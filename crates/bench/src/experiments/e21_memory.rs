@@ -2,13 +2,14 @@
 //! grounding + Minoux solving needs peak-live memory *linear* in the
 //! formula size `|D|`.
 //!
-//! The counting allocator's peak-live watermark is reset before each
-//! solve, so the measurement is "how many extra live bytes did this run
-//! need at its worst moment". A log-log least-squares fit over a
+//! Each solve runs in its own capture, whose peak-live watermark starts
+//! at zero, so the measurement is "how many extra live bytes did this
+//! run need at its worst moment". A log-log least-squares fit over a
 //! geometric size ladder should come out with slope ≈ 1 (linear) and an
 //! R² near 1 (a genuine power law, not noise).
 
-use treequery_core::obs::alloc::{self, AccountingGuard};
+use treequery_core::obs::alloc::AccountingGuard;
+use treequery_core::obs::capture;
 
 use super::e15_hornsat::random_formula;
 use crate::util::header;
@@ -55,12 +56,9 @@ pub fn measure_peak_live(m: usize) -> (u64, u64) {
     // One warm solve so lazy one-time allocations don't pollute the
     // smallest size's watermark.
     let _ = f.solve();
-    alloc::reset_peak_live();
-    let before = alloc::global_stats();
-    let solved = f.solve();
-    let after = alloc::global_stats();
+    let (solved, captured) = capture(|| f.solve());
     std::hint::black_box(solved.num_true());
-    (size, after.peak_live.saturating_sub(before.live_bytes))
+    (size, captured.alloc.peak_live)
 }
 
 /// Measures the ladder and returns the points plus the fit.

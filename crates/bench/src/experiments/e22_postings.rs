@@ -20,7 +20,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use treequery_core::obs::alloc::{self, AccountingGuard};
+use treequery_core::obs::alloc::AccountingGuard;
+use treequery_core::obs::capture;
 use treequery_core::storage::{stack_tree_join_into, Xasr};
 use treequery_core::tree::TreeBuilder;
 use treequery_core::Tree;
@@ -110,11 +111,12 @@ pub fn steady_state_allocs(x: &Xasr, reps: usize) -> u64 {
     let mut stack = Vec::new();
     let mut out = Vec::new();
     std::hint::black_box(sweep_bytes(x, &mut stack, &mut out));
-    let before = alloc::global_stats();
-    for _ in 0..reps {
-        std::hint::black_box(sweep_bytes(x, &mut stack, &mut out));
-    }
-    alloc::global_stats().allocs - before.allocs
+    let ((), captured) = capture(|| {
+        for _ in 0..reps {
+            std::hint::black_box(sweep_bytes(x, &mut stack, &mut out));
+        }
+    });
+    captured.alloc.allocs
 }
 
 pub fn run() {

@@ -4,10 +4,10 @@
 //! snapshots the experiment submitted — so `BENCH_*.json` trajectories
 //! can be produced and diffed across PRs.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use treequery_core::obs::{self, CollectingRecorder, Json};
+use treequery_core::obs::{self, Json};
 
 /// Engine metric snapshots submitted by the currently running
 /// experiment (see [`submit_metrics`]); drained by the builder after
@@ -39,16 +39,17 @@ impl ReportBuilder {
         ReportBuilder::default()
     }
 
-    /// Runs one experiment under a collecting span recorder and appends
+    /// Runs one experiment inside an observation capture and appends
     /// its entry: id, wall time, span summaries with latency
     /// percentiles, and the metric snapshots the experiment submitted.
+    /// The capture covers the experiment's own thread and the pool
+    /// workers acting for it.
     pub fn run(&mut self, id: &str, f: impl FnOnce()) {
         drain_submitted(); // stray submissions from unreported runs
-        let recorder = Arc::new(CollectingRecorder::default());
         let started = Instant::now();
-        obs::with_recorder(recorder.clone(), f);
+        let ((), captured) = obs::capture(f);
         let wall_ns = started.elapsed().as_nanos() as u64;
-        let spans: Vec<Json> = recorder.summary().iter().map(|s| s.to_json()).collect();
+        let spans: Vec<Json> = captured.summary().iter().map(|s| s.to_json()).collect();
         self.entries.push(
             Json::obj()
                 .set("id", id)

@@ -21,8 +21,8 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use treequery_core::obs::alloc::{self, AccountingGuard};
-use treequery_core::obs::{self, CollectingRecorder, Json};
+use treequery_core::obs::alloc::AccountingGuard;
+use treequery_core::obs::{self, capture, summarize_spans, Json};
 use treequery_core::plan::{applicable_strategies, lower, Strategy};
 use treequery_core::tree::{xmark_document, XmarkConfig};
 use treequery_core::{Engine, Query, Tree};
@@ -180,12 +180,22 @@ fn pinned_doc(nodes: usize) -> Tree {
 /// not read as 33 wall regressions.
 pub fn calibration_ns() -> u64 {
     let formula = crate::experiments::e15_hornsat::random_formula(60_000, 7);
-    let mut best = u64::MAX;
-    for _ in 0..5 {
-        let started = Instant::now();
-        std::hint::black_box(formula.solve().num_true());
-        best = best.min(started.elapsed().as_nanos() as u64);
-    }
+    min_solve_ns(&formula, 5)
+}
+
+/// The fastest of `runs` solves of `formula`. Timed inside a capture so
+/// that, while the suite holds accounting on, every allocation pays the
+/// same charging the measured cases pay.
+fn min_solve_ns(formula: &treequery_core::hornsat::HornFormula, runs: usize) -> u64 {
+    let (best, _) = capture(|| {
+        let mut best = u64::MAX;
+        for _ in 0..runs {
+            let started = Instant::now();
+            std::hint::black_box(formula.solve().num_true());
+            best = best.min(started.elapsed().as_nanos() as u64);
+        }
+        best
+    });
     best
 }
 
@@ -202,13 +212,7 @@ impl Probe {
     }
 
     fn measure(&self) -> u64 {
-        let mut best = u64::MAX;
-        for _ in 0..3 {
-            let started = Instant::now();
-            std::hint::black_box(self.0.solve().num_true());
-            best = best.min(started.elapsed().as_nanos() as u64);
-        }
-        best
+        min_solve_ns(&self.0, 3)
     }
 }
 
@@ -252,7 +256,6 @@ pub fn run_suite_with(small_nodes: usize, large_nodes: usize, reps: usize) -> Js
             treequery_core::QueryOutput::Answer(a) => a.tuples.len() as u64,
         };
 
-        let recorder = std::sync::Arc::new(CollectingRecorder::default());
         // Exact samples, not the power-of-two histogram: bucket-quantized
         // percentiles jump ~2x whenever a case straddles a bucket edge,
         // which would wreck baseline comparison.
@@ -267,35 +270,36 @@ pub fn run_suite_with(small_nodes: usize, large_nodes: usize, reps: usize) -> Js
         } else {
             std::time::Duration::ZERO
         };
-        obs::with_recorder(recorder.clone(), || {
-            let case_started = Instant::now();
-            while wall.len() < reps || (case_started.elapsed() < time_floor && wall.len() < 400) {
-                alloc::reset_peak_live();
-                let before = alloc::global_stats();
+        let mut spans = Vec::new();
+        let case_started = Instant::now();
+        while wall.len() < reps || (case_started.elapsed() < time_floor && wall.len() < 400) {
+            let ((out, elapsed), captured) = capture(|| {
                 let started = Instant::now();
                 let out = engine
                     .eval_ir_via(&ir, case.strategy, case.workers)
                     .expect("pinned suite cases execute");
-                wall.push(started.elapsed().as_nanos() as u64);
-                let after = alloc::global_stats();
-                // Min over reps: the steady-state cost, immune to one-off
-                // noise (a stray lazy init, an OS hiccup mid-rep).
-                allocs = allocs.min(after.allocs - before.allocs);
-                bytes = bytes.min(after.bytes - before.bytes);
-                peak = peak.min(after.peak_live.saturating_sub(before.live_bytes));
-                drop(out);
-            }
-        });
+                (out, started.elapsed())
+            });
+            wall.push(elapsed.as_nanos() as u64);
+            // Min over reps: the steady-state cost, immune to one-off
+            // noise (a stray lazy init, an OS hiccup mid-rep).
+            allocs = allocs.min(captured.alloc.allocs);
+            bytes = bytes.min(captured.alloc.bytes);
+            peak = peak.min(captured.alloc.peak_live);
+            spans.extend(captured.spans);
+            drop(out);
+        }
         wall.sort_unstable();
         let wall_p50 = wall[wall.len() / 2];
         let wall_p95 = wall[(wall.len() * 95 / 100).min(wall.len() - 1)];
         wall_family.with_label(&case.id).observe(wall_p50);
-        let spans: Vec<Json> = recorder.summary().iter().map(|s| s.to_json()).collect();
-        // Steady-state kernel allocations: extra reps run *without* the
-        // span recorder (its bookkeeping would be charged to the stage
-        // scope), attributed per executor stage by the `AllocScope`
-        // totals. A few warm reps first so every pool worker has touched
-        // its scratch before the measured rep.
+        let spans: Vec<Json> = summarize_spans(&spans)
+            .iter()
+            .map(|s| s.to_json())
+            .collect();
+        // Steady-state kernel allocations, attributed to the executor
+        // stage's `AllocScope`. A few warm reps first so every pool
+        // worker has touched its scratch before the measured rep.
         let kernel_allocs = kernel_stage(case.strategy).map(|stage| {
             for _ in 0..5 {
                 drop(
@@ -304,16 +308,9 @@ pub fn run_suite_with(small_nodes: usize, large_nodes: usize, reps: usize) -> Js
                         .expect("pinned suite cases execute"),
                 );
             }
-            let _ = alloc::take_scope_totals();
-            drop(
-                engine
-                    .eval_ir_via(&ir, case.strategy, case.workers)
-                    .expect("pinned suite cases execute"),
-            );
-            alloc::take_scope_totals()
-                .iter()
-                .find(|(name, _)| *name == stage)
-                .map_or(0, |(_, s)| s.allocs)
+            let (out, captured) = capture(|| engine.eval_ir_via(&ir, case.strategy, case.workers));
+            drop(out.expect("pinned suite cases execute"));
+            captured.scope(stage).map_or(0, |s| s.allocs)
         });
         let mut case_json = Json::obj()
             .set("id", case.id.as_str())
@@ -408,16 +405,16 @@ fn edit_requery_cases(doc: &str, nodes: usize, reps: usize, probe: &Probe) -> Ve
     let mut rows = 0;
     for rep in 0..reps {
         let op = flip(rep);
-        alloc::reset_peak_live();
-        let before = alloc::global_stats();
-        let started = Instant::now();
-        document.edit(&op);
-        rows = std::hint::black_box(document.watched(id)).len() as u64;
-        wall.push(started.elapsed().as_nanos() as u64);
-        let after = alloc::global_stats();
-        allocs = allocs.min(after.allocs - before.allocs);
-        bytes = bytes.min(after.bytes - before.bytes);
-        peak = peak.min(after.peak_live.saturating_sub(before.live_bytes));
+        let (elapsed, captured) = capture(|| {
+            let started = Instant::now();
+            document.edit(&op);
+            rows = std::hint::black_box(document.watched(id)).len() as u64;
+            started.elapsed()
+        });
+        wall.push(elapsed.as_nanos() as u64);
+        allocs = allocs.min(captured.alloc.allocs);
+        bytes = bytes.min(captured.alloc.bytes);
+        peak = peak.min(captured.alloc.peak_live);
     }
     let incremental = emit("incremental", &mut wall, (allocs, bytes, peak), rows);
 
@@ -428,17 +425,17 @@ fn edit_requery_cases(doc: &str, nodes: usize, reps: usize, probe: &Probe) -> Ve
     let mut rows = 0;
     for rep in 0..reps {
         let op = flip(rep);
-        alloc::reset_peak_live();
-        let before = alloc::global_stats();
-        let started = Instant::now();
-        et.apply(&op);
-        let model = datalog::IncrementalEval::new(prog.clone(), et.tree());
-        rows = std::hint::black_box(model.query()).len() as u64;
-        wall.push(started.elapsed().as_nanos() as u64);
-        let after = alloc::global_stats();
-        allocs = allocs.min(after.allocs - before.allocs);
-        bytes = bytes.min(after.bytes - before.bytes);
-        peak = peak.min(after.peak_live.saturating_sub(before.live_bytes));
+        let (elapsed, captured) = capture(|| {
+            let started = Instant::now();
+            et.apply(&op);
+            let model = datalog::IncrementalEval::new(prog.clone(), et.tree());
+            rows = std::hint::black_box(model.query()).len() as u64;
+            started.elapsed()
+        });
+        wall.push(elapsed.as_nanos() as u64);
+        allocs = allocs.min(captured.alloc.allocs);
+        bytes = bytes.min(captured.alloc.bytes);
+        peak = peak.min(captured.alloc.peak_live);
     }
     let rebuild = emit("rebuild", &mut wall, (allocs, bytes, peak), rows);
 

@@ -275,9 +275,13 @@ impl<'t> Engine<'t> {
 
     /// Parses and lowers a front-end query into the shared IR.
     pub fn lower(&self, query: &Query) -> Result<QueryIr, EngineError> {
+        self.lower_counted(query, &self.metrics)
+    }
+
+    fn lower_counted(&self, query: &Query, metrics: &Metrics) -> Result<QueryIr, EngineError> {
         let _span = treequery_obs::span("pipeline.lower");
         let ir = plan::lower(query)?;
-        plan::Metrics::add_lowered(&self.metrics);
+        plan::Metrics::add_lowered(metrics);
         Ok(ir)
     }
 
@@ -290,27 +294,29 @@ impl<'t> Engine<'t> {
     }
 
     fn plan_for(&self, ir: &QueryIr) -> std::sync::Arc<ExplainedPlan> {
-        self.plan_for_traced(ir).0
+        self.plan_for_traced(ir, &self.metrics).0
     }
 
-    /// [`plan_for`](Self::plan_for) plus whether the plan came from the
-    /// cache (the flight recorder tags records with it).
-    fn plan_for_traced(&self, ir: &QueryIr) -> (std::sync::Arc<ExplainedPlan>, bool) {
+    /// [`plan_for`](Self::plan_for) counting into `metrics`, plus whether
+    /// the plan came from the cache (the flight recorder tags records
+    /// with it).
+    fn plan_for_traced(
+        &self,
+        ir: &QueryIr,
+        metrics: &Metrics,
+    ) -> (std::sync::Arc<ExplainedPlan>, bool) {
         let planned = std::cell::Cell::new(false);
         let compute = || {
             let _span = treequery_obs::span("pipeline.plan");
             planned.set(true);
-            plan::Metrics::add_planned(&self.metrics);
+            plan::Metrics::add_planned(metrics);
             plan::plan_ir(ir, self.stats(), &self.config.planner)
         };
         if self.config.plan_cache {
             let mut span = treequery_obs::span("pipeline.cache_lookup");
-            let plan = self.cache.get_or_insert(
-                ir.fingerprint,
-                self.tree_fingerprint(),
-                &self.metrics,
-                compute,
-            );
+            let plan =
+                self.cache
+                    .get_or_insert(ir.fingerprint, self.tree_fingerprint(), metrics, compute);
             let hit = !planned.get();
             span.record_bool("hit", hit);
             (plan, hit)
@@ -319,44 +325,38 @@ impl<'t> Engine<'t> {
         }
     }
 
-    /// `EXPLAIN ANALYZE`: evaluates `query` once with a span recorder
-    /// installed and returns the planner's [`ExplainedPlan`] rationale
-    /// merged with the *measured* per-stage wall times, structured span
-    /// fields, and the executor counter delta for this run (read with
-    /// [`Metrics::snapshot_quiesced`](plan::Metrics::snapshot_quiesced),
-    /// so single-query numbers are internally consistent).
+    /// `EXPLAIN ANALYZE`: evaluates `query` once inside a
+    /// [`treequery_obs::capture`] with allocation accounting on, and
+    /// returns the planner's [`ExplainedPlan`] rationale merged with the
+    /// *measured* per-stage wall times, structured span fields, per-stage
+    /// allocations, and the executor counters of this run.
     ///
-    /// The recorder is installed process-globally for the duration (the
-    /// `treequery_obs` model): a concurrent `explain_analyze` from
-    /// another thread, or queries run concurrently on *any* engine, would
-    /// mix their spans and counter deltas into this report. Analyze one
-    /// query at a time for exact numbers.
+    /// Everything in the report belongs to this run alone: the capture
+    /// sees only this thread and the pool workers acting for it, and the
+    /// counters accumulate in a query-local [`Metrics`] that is added to
+    /// the engine's afterwards. Concurrent queries on this or any other
+    /// engine do not leak in.
     pub fn explain_analyze(&self, query: &Query) -> Result<AnalyzedPlan, EngineError> {
-        let recorder = std::sync::Arc::new(treequery_obs::CollectingRecorder::default());
-        let before = self.metrics.snapshot_quiesced();
-        // Turn on allocation accounting for the run so the per-stage
-        // AllocScopes attribute bytes to the same names the spans use;
-        // drain any totals a previous accounted region left behind.
+        let local = Metrics::default();
         let _accounting = treequery_obs::alloc::AccountingGuard::begin();
-        treequery_obs::alloc::take_scope_totals();
         let started = std::time::Instant::now();
-        let run = treequery_obs::with_recorder(recorder.clone(), || {
-            let ir = self.lower(query)?;
-            let chosen = self.plan_for(&ir);
-            let output = plan::exec::execute(&ir, &chosen, self.tree, &self.metrics)?;
+        let (run, captured) = treequery_obs::capture(|| {
+            let ir = self.lower_counted(query, &local)?;
+            let (chosen, _) = self.plan_for_traced(&ir, &local);
+            let output = plan::exec::execute(&ir, &chosen, self.tree, &local)?;
             Ok(((*chosen).clone(), output))
         });
         let total_ns = started.elapsed().as_nanos() as u64;
-        let mem_totals = treequery_obs::alloc::take_scope_totals();
+        let counters = local.snapshot();
+        self.metrics.absorb(&counters);
         let (chosen, output) = run?;
-        let counters = self.metrics.snapshot_quiesced().delta_since(&before);
         Ok(plan::analyze::assemble(
             query.text().to_owned(),
             chosen,
             total_ns,
             output,
-            &recorder.summary(),
-            &mem_totals,
+            &captured.summary(),
+            &captured.scopes,
             counters,
         ))
     }
@@ -412,41 +412,33 @@ impl<'t> Engine<'t> {
         plan::exec::execute(ir, &chosen, self.tree, &self.metrics)
     }
 
-    /// The flight-recorded evaluation path: scope a query id around
-    /// planning + execution (worker pools propagate it, so cross-worker
-    /// chunk spans attribute here too), then collect the buffered spans
-    /// and submit the record. Out of line — the common disabled path
-    /// should pay only the `enabled()` load.
+    /// The flight-recorded evaluation path: planning + execution run
+    /// inside a [`treequery_obs::capture`] (pool workers replay it, so
+    /// cross-worker chunk spans land here too), then the record is
+    /// submitted with the captured spans. Out of line — the common
+    /// disabled path should pay only the `enabled()` load.
     ///
-    /// When a caller (the query service) already opened a query scope
-    /// around this evaluation — to attribute its own admission/lock
-    /// spans to the same record — the ambient id is reused instead of
-    /// drawing a fresh one, so the wire request and the evaluation are
-    /// one record, not two.
+    /// Inside the query service's [`flight::record_request`] the record
+    /// is held back and submitted with the whole request's spans, so the
+    /// wire request and the evaluation are one record, not two.
+    ///
+    /// [`flight::record_request`]: treequery_obs::flight::record_request
     #[cold]
     fn eval_ir_recorded(&self, ir: &QueryIr) -> Result<QueryOutput, EngineError> {
         use treequery_obs::flight;
-        let ambient = flight::current_query();
-        let id = if ambient != 0 {
-            ambient
-        } else {
-            flight::begin_query()
-        };
-        if id == 0 {
-            // The recorder was uninstalled between the enabled check and
-            // the id draw; run unrecorded.
-            let chosen = self.plan_for(ir);
-            return plan::exec::execute(ir, &chosen, self.tree, &self.metrics);
-        }
         let before = self.metrics.snapshot();
         let started = std::time::Instant::now();
-        let (result, chosen, cache_hit) = flight::with_current_query(id, || {
-            let (chosen, cache_hit) = self.plan_for_traced(ir);
+        let ((result, chosen, cache_hit), captured) = treequery_obs::capture(|| {
+            let (chosen, cache_hit) = self.plan_for_traced(ir, &self.metrics);
             let result = plan::exec::execute(ir, &chosen, self.tree, &self.metrics);
             (result, chosen, cache_hit)
         });
         let wall_ns = started.elapsed().as_nanos() as u64;
-        let (spans, dropped_spans) = flight::take_spans(id);
+        let id = flight::begin_query();
+        if id == 0 {
+            // The recorder was uninstalled during the run.
+            return result;
+        }
         // The quiesced re-read tags records captured under concurrent
         // load (satellite: surfaced retry count, not just `torn`).
         let counters = self.metrics.snapshot_quiesced().delta_since(&before);
@@ -472,8 +464,8 @@ impl<'t> Engine<'t> {
             error: result.as_ref().err().map(|e| e.to_string()),
             quiesce_retries: counters.quiesce_retries,
             torn: counters.torn,
-            spans,
-            dropped_spans,
+            spans: captured.spans,
+            dropped_spans: 0,
             tenant: ctx.tenant,
             trace_id: ctx.trace_id,
             admission_wait_ns: ctx.admission_wait_ns,
@@ -1006,8 +998,8 @@ mod tests {
                 .as_u64(),
             Some(6)
         );
-        // A recorder is no longer installed after the call.
-        assert!(!treequery_obs::recording());
+        // No capture is left open after the call.
+        assert!(!treequery_obs::span("test.after").is_recording());
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! `EXPLAIN ANALYZE`: the planner's rationale merged with what one
-//! measured run actually did — per-stage wall time from `treequery-obs`
-//! spans plus a consistent work-counter delta.
+//! measured run actually did — per-stage wall time and allocations from
+//! a `treequery-obs` capture, plus the run's executor counters.
 //!
-//! [`crate::Engine::explain_analyze`] runs the query once under a
-//! [`treequery_obs::CollectingRecorder`], diffs
-//! [`Metrics`](super::Metrics) snapshots around the run (using the
-//! quiesced read so single-query numbers are never torn), and returns an
-//! [`AnalyzedPlan`]: the [`ExplainedPlan`] the planner produced, the
-//! measured [`StageStats`] per span name, the counter delta, and the
-//! answer itself. [`AnalyzedPlan::render`] prints a Postgres-style tree;
+//! [`crate::Engine::explain_analyze`] runs the query once inside
+//! [`treequery_obs::capture`] with allocation accounting on, counting
+//! executor work in a query-local [`Metrics`](super::Metrics), and
+//! returns an [`AnalyzedPlan`]: the [`ExplainedPlan`] the planner
+//! produced, the measured [`StageStats`] per span name (with the `mem`
+//! totals of the same-named allocation scopes), the counters, and the
+//! answer itself. The capture and the counters see this run only, so
+//! concurrent queries cannot inflate the report.
+//! [`AnalyzedPlan::render`] prints a Postgres-style tree;
 //! [`AnalyzedPlan::to_json`] is the machine-readable form the harness
 //! report embeds.
 
@@ -112,8 +114,7 @@ pub struct AnalyzedPlan {
     pub output_rows: u64,
     /// Per-stage measured wall time and work, in first-seen order.
     pub stages: Vec<StageStats>,
-    /// The executor counter delta attributable to this run (quiesced
-    /// reads; consistent for single-query runs).
+    /// The executor counters of this run alone.
     pub counters: MetricsSnapshot,
     /// The answer the analyzed run produced.
     pub output: QueryOutput,
@@ -233,9 +234,9 @@ impl AnalyzedPlan {
     }
 }
 
-/// Builds an [`AnalyzedPlan`] from the pieces `explain_analyze` gathered:
-/// span summaries become stages, and allocator scope totals are joined
-/// onto them by stage name (scopes and spans share the naming scheme).
+/// Builds an [`AnalyzedPlan`] from the pieces a capture gathered: span
+/// summaries become stages, and allocation scope totals are joined onto
+/// them by stage name (scopes and spans share the naming scheme).
 pub(crate) fn assemble(
     query: String,
     plan: ExplainedPlan,

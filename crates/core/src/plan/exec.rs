@@ -147,6 +147,30 @@ impl Metrics {
         Metrics::add(&metrics.batch_queries, n);
     }
 
+    /// Adds a snapshot's counters to these: how a query-local `Metrics`
+    /// (`Engine::explain_analyze` counts its run in one) joins the
+    /// engine's.
+    pub fn absorb(&self, s: &MetricsSnapshot) {
+        for (counter, n) in [
+            (&self.queries_lowered, s.queries_lowered),
+            (&self.plans_computed, s.plans_computed),
+            (&self.plan_cache_hits, s.plan_cache_hits),
+            (&self.plan_cache_misses, s.plan_cache_misses),
+            (&self.queries_executed, s.queries_executed),
+            (&self.queries_cancelled, s.queries_cancelled),
+            (&self.batch_queries, s.batch_queries),
+            (&self.semijoin_passes, s.semijoin_passes),
+            (&self.candidate_nodes, s.candidate_nodes),
+            (&self.union_parts, s.union_parts),
+            (&self.nodes_swept, s.nodes_swept),
+            (&self.backtrack_assignments, s.backtrack_assignments),
+            (&self.parallel_kernels, s.parallel_kernels),
+            (&self.parallel_chunks, s.parallel_chunks),
+        ] {
+            Metrics::add(counter, n);
+        }
+    }
+
     /// Copies all counters.
     ///
     /// **Tearing semantics:** each counter is loaded independently with
@@ -499,9 +523,7 @@ fn execute_kernels(
 ) -> Result<QueryOutput, EngineError> {
     let mut run_span = treequery_obs::span("exec.run");
     let _mem = AllocScope::enter("exec.run");
-    if run_span.is_recording() {
-        run_span.record_str("strategy", plan.strategy.to_string());
-    }
+    run_span.record_str("strategy", plan.strategy);
     match plan.strategy {
         Strategy::XPathSetAtATime => {
             let p = expect_path(ir);

@@ -38,7 +38,7 @@ struct JobRef(*const ParJob);
 // SAFETY: the pointee is a ParJob pinned on the stack of a `run_for`
 // caller that does not return before every registered worker has
 // deregistered; all shared fields are Sync (atomics, Mutex, Condvar, an
-// Arc-backed scope handle, and a `dyn Fn + Sync` body).
+// Arc-backed capture handle, and a `dyn Fn + Sync` body).
 unsafe impl Send for JobRef {}
 
 /// Shared state of one [`WorkerPool::run_for`] call, on the caller's
@@ -53,13 +53,10 @@ struct ParJob {
     status: Mutex<ForStatus>,
     /// Signaled when `unfinished` or `active` reaches zero.
     done: Condvar,
-    /// Submitter's span depth, re-installed around every worker chunk.
-    depth: u32,
-    /// Submitter's flight-recorder query id (0 = none), ditto — so the
-    /// chunk spans a worker closes attribute to the submitting query.
-    flight: u64,
-    /// Submitter's allocation scope, ditto.
-    scope: Option<treequery_obs::alloc::ScopeHandle>,
+    /// Submitter's observation context (capture, allocation scope, span
+    /// depth), re-installed around every worker chunk so chunk spans and
+    /// allocations are charged to the submitting query and stage.
+    ctx: treequery_obs::CaptureHandle,
     /// Submitter's ambient cancel token, re-installed around every worker
     /// chunk so kernel checkpoints inside the body observe it. Once the
     /// token trips, remaining chunks are *drained* (claimed and counted
@@ -96,19 +93,10 @@ impl ParJob {
                 if self.cancel.as_ref().is_some_and(|t| t.check().is_some()) {
                     return; // drain: count the chunk done, skip the work
                 }
-                let run = || {
-                    treequery_obs::flight::with_current_query(self.flight, || {
-                        treequery_obs::with_ambient_depth(self.depth, || body(i))
-                    })
-                };
-                let run = || match &self.cancel {
-                    Some(token) => treequery_tree::cancel::with_token(token, run),
-                    None => run(),
-                };
-                match &self.scope {
-                    Some(handle) => treequery_obs::alloc::with_scope(handle, run),
-                    None => run(),
-                }
+                self.ctx.run(|| match &self.cancel {
+                    Some(token) => treequery_tree::cancel::with_token(token, || body(i)),
+                    None => body(i),
+                })
             }));
             let mut st = self.status.lock().expect("job lock poisoned");
             if let Err(p) = result {
@@ -271,9 +259,7 @@ impl WorkerPool {
                 panic: None,
             }),
             done: Condvar::new(),
-            depth: treequery_obs::current_depth(),
-            flight: treequery_obs::flight::current_query(),
-            scope: treequery_obs::alloc::current_scope(),
+            ctx: treequery_obs::CaptureHandle::current(),
             cancel: treequery_tree::cancel::current(),
         };
         {
@@ -367,40 +353,25 @@ impl WorkerPool {
             state: Mutex::new((slots, n)),
             done: Condvar::new(),
         });
-        // Propagate the submitter's span depth into the workers so chunk
-        // spans nest under the stage span that dispatched them, the
-        // submitter's flight query id so worker spans attribute to the
-        // submitting query, and the submitter's allocation scope so chunk
-        // allocations stay charged to the stage that dispatched them. The
-        // handle keeps the scope cell alive for the workers; the owning
-        // frame outlives this call because run_scoped blocks until every
-        // task finished.
-        let depth = treequery_obs::current_depth();
-        let flight = treequery_obs::flight::current_query();
-        let alloc_scope = treequery_obs::alloc::current_scope();
+        // Propagate the submitter's observation context into the workers:
+        // task spans nest under the stage span that dispatched them, and
+        // task spans and allocations land in the submitting query's
+        // capture and stage.
+        let ctx = treequery_obs::CaptureHandle::current();
         let cancel = treequery_tree::cancel::current();
 
         {
             let mut state = self.state.lock().expect("pool lock poisoned");
             for (i, task) in tasks.into_iter().enumerate() {
                 let scope = Arc::clone(&scope);
-                let alloc_scope = alloc_scope.clone();
+                let ctx = ctx.clone();
                 let cancel = cancel.clone();
                 let wrapped: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
                     let result = catch_unwind(AssertUnwindSafe(|| {
-                        let task = || {
-                            treequery_obs::flight::with_current_query(flight, || {
-                                treequery_obs::with_ambient_depth(depth, task)
-                            })
-                        };
-                        let task = || match &cancel {
+                        ctx.run(|| match &cancel {
                             Some(token) => treequery_tree::cancel::with_token(token, task),
                             None => task(),
-                        };
-                        match &alloc_scope {
-                            Some(handle) => treequery_obs::alloc::with_scope(handle, task),
-                            None => task(),
-                        }
+                        })
                     }));
                     let mut s = scope.state.lock().expect("scope lock poisoned");
                     s.0[i] = Some(result);

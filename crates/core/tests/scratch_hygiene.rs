@@ -2,12 +2,12 @@
 //! thread-local LIFO pools in `treequery_tree::scratch` must never pin an
 //! unbounded amount of memory just because one evaluation spiked.
 //!
-//! Own test file on purpose: integration test binaries are separate
-//! processes, so the process-global allocation accounting
-//! (`obs::alloc::AccountingGuard` + `global_stats`) is not shared with
-//! other tests' threads and the live-bytes arithmetic below is exact.
+//! The spike and the put-back run inside one capture, which counts only
+//! this thread's allocations, so the live-bytes arithmetic below is exact
+//! whatever other tests run alongside.
 
-use treequery_core::obs::alloc::{self, AccountingGuard};
+use treequery_core::obs::alloc::AccountingGuard;
+use treequery_core::obs::capture;
 use treequery_core::tree::scratch::{self, MAX_POOLED_BYTES};
 
 #[test]
@@ -17,26 +17,26 @@ fn pooled_buffers_cannot_pin_oversized_spikes() {
     // Steady the pool: one take/put cycle so the pool slot itself (and
     // any lazy thread-local init) is allocated before measuring.
     scratch::put_u32s(scratch::take_u32s());
-    let baseline = alloc::global_stats().live_bytes;
 
     // A query spike: the evaluation temporarily needed 64x the pool cap.
-    let spike_elems = 64 * MAX_POOLED_BYTES / size_of::<u32>();
-    let mut buf = scratch::take_u32s();
-    buf.reserve_exact(spike_elems);
-    assert!(
-        alloc::global_stats().live_bytes >= baseline + 64 * MAX_POOLED_BYTES as u64,
-        "the spike buffer itself must be visible to the accounting"
-    );
-
     // Handing the spiked buffer back must shrink it to the cap: the pool
     // retains at most MAX_POOLED_BYTES of it, the rest is freed NOW, not
     // held until some future evaluation happens to want a huge buffer.
-    scratch::put_u32s(buf);
-    let after = alloc::global_stats().live_bytes;
+    let spike_elems = 64 * MAX_POOLED_BYTES / size_of::<u32>();
+    let ((), captured) = capture(|| {
+        let mut buf = scratch::take_u32s();
+        buf.reserve_exact(spike_elems);
+        scratch::put_u32s(buf);
+    });
+    let stats = captured.alloc;
     assert!(
-        after <= baseline + MAX_POOLED_BYTES as u64,
-        "pool pinned {} bytes over baseline (cap is {MAX_POOLED_BYTES})",
-        after - baseline
+        stats.peak_live >= 64 * MAX_POOLED_BYTES as u64,
+        "the spike buffer itself must be visible to the accounting: {stats:?}"
+    );
+    let pinned = stats.bytes.saturating_sub(stats.freed_bytes);
+    assert!(
+        pinned <= MAX_POOLED_BYTES as u64,
+        "pool pinned {pinned} bytes over baseline (cap is {MAX_POOLED_BYTES})"
     );
 
     // And the capped buffer really is pooled (take returns capacity

@@ -2,9 +2,9 @@
 //!
 //! Each kernel is run warm (several reps, so thread-local scratch pools
 //! and pool-worker buffers reach their final capacities), then once more
-//! inside a named [`AllocScope`]; the scope's attributed allocation
-//! count — including allocations made by pool workers on the kernel's
-//! behalf — must be exactly zero. Covered kernels: axis-image sweeps,
+//! inside a capture and a named [`AllocScope`]; the scope's attributed
+//! allocation count — including allocations made by pool workers on the
+//! kernel's behalf — must be exactly zero. Covered kernels: axis-image sweeps,
 //! the semijoin full reducer, the parallel stack-tree structural join,
 //! and the union-merge XPath evaluator, each at 1 and 4 workers.
 //!
@@ -17,7 +17,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use treequery_core::cq;
-use treequery_core::obs::alloc::{self, AccountingGuard, AllocScope};
+use treequery_core::obs::alloc::{AccountingGuard, AllocScope};
+use treequery_core::obs::capture;
 use treequery_core::plan::par::{
     par_eval_query, par_image_into, par_stack_tree_join_into, ParJoinScratch, PoolSweeper,
 };
@@ -36,19 +37,17 @@ fn test_tree() -> Tree {
     random_recursive_tree(&mut rng, 2_000, &["a", "b", "c", "d"])
 }
 
-/// Runs `f` warm, then once inside an [`AllocScope`] named `name`, and
-/// asserts the scope saw zero allocations.
+/// Runs `f` warm, then once inside a capture and an [`AllocScope`] named
+/// `name`, and asserts the scope saw zero allocations.
 fn assert_zero_steady_state(name: &'static str, mut f: impl FnMut()) {
     for _ in 0..WARM {
         f();
     }
-    let _ = alloc::take_scope_totals();
-    {
+    let ((), captured) = capture(|| {
         let _scope = AllocScope::enter(name);
         f();
-    }
-    let totals = alloc::take_scope_totals();
-    let stats = totals.iter().find(|(n, _)| *n == name).map(|(_, s)| *s);
+    });
+    let stats = captured.scope(name);
     let allocs = stats.map_or(0, |s| s.allocs);
     assert_eq!(
         allocs, 0,
@@ -56,9 +55,9 @@ fn assert_zero_steady_state(name: &'static str, mut f: impl FnMut()) {
     );
 }
 
-/// All four kernels, both worker counts, in one test function: the
-/// scope-totals table is process-global, so the drain/measure pairs
-/// must not interleave across threads.
+/// All four kernels, both worker counts. Each measurement is its own
+/// capture, which sees only this thread and the pool workers acting for
+/// it, so nothing else running in the process can leak into the counts.
 #[test]
 fn kernels_are_allocation_free_in_steady_state() {
     let _accounting = AccountingGuard::begin();

@@ -1,10 +1,10 @@
 //! Allocation accounting: a counting [`GlobalAlloc`] wrapper with
-//! thread-local attribution scopes.
+//! thread-local attribution.
 //!
 //! The paper's bounds are *resource* bounds — Theorem 3.2 is as much a
 //! space claim (the ground Horn formula is linear in `|D|`) as a time
 //! claim — so bytes and allocations are first-class observables here,
-//! mirroring the span layer's design:
+//! read through the same per-query [`capture`](crate::capture) as spans:
 //!
 //! * [`CountingAlloc`] wraps the system allocator. `treequery-obs`
 //!   installs it as the process `#[global_allocator]`, so every crate in
@@ -12,28 +12,31 @@
 //!   is **off** (the default) each allocation pays one relaxed atomic
 //!   load — the same disabled-path budget the span layer holds itself to
 //!   (enforced by `harness --check-noop-overhead`).
-//! * [`AccountingGuard`] turns accounting on for a region (nestable;
-//!   reference-counted). While on, process-wide totals
-//!   ([`global_stats`]: allocations, bytes, live bytes, peak live) are
-//!   maintained on every alloc/dealloc.
+//! * [`AccountingGuard`] is the one switch: it turns accounting on for a
+//!   region (nestable; reference-counted). While it is on, every
+//!   allocation is charged to the allocating thread's open capture (the
+//!   whole-run totals in [`Captured::alloc`](crate::Captured::alloc)) and
+//!   to its innermost [`AllocScope`].
 //! * [`AllocScope`] attributes allocations to a *stage name* — the same
 //!   dot-separated names the span layer uses (`exec.semijoin`,
 //!   `hornsat.solve`, …). Scopes are a thread-local stack: the innermost
 //!   scope on the allocating thread is charged (self-exclusive, like a
-//!   span's self time). Worker pools propagate the submitting thread's
-//!   scope with [`current_scope`] + [`with_scope`], so a kernel chunk
-//!   running on a pool worker still charges the stage that dispatched
-//!   it.
+//!   span's self time). A closed scope reports its totals to the capture
+//!   open on its thread ([`Captured::scopes`](crate::Captured::scopes)),
+//!   which is what puts `mem` columns next to `EXPLAIN ANALYZE`'s
+//!   per-stage wall times.
 //!
-//! Closed scopes merge their counters into a process-wide per-name table
-//! read by `EXPLAIN ANALYZE` ([`take_scope_totals`]) — which is what
-//! puts `mem` columns next to the per-stage wall times.
+//! Pool workers replay the submitting thread's capture and scope through
+//! a [`CaptureHandle`](crate::CaptureHandle), so a kernel chunk running
+//! on a worker still charges the query and the stage that dispatched it.
+//! Observation bookkeeping (span fields, span buffers, scope cells) is
+//! never charged to anything.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use crate::capture::{bookkeeping, AMBIENT};
 
 /// The counting allocator. Installed by `treequery-obs` as the process
 /// `#[global_allocator]`; do not install a second one.
@@ -45,19 +48,10 @@ static ACCOUNTING: AtomicBool = AtomicBool::new(false);
 /// Reference count of active [`AccountingGuard`]s.
 static ENABLE_DEPTH: AtomicUsize = AtomicUsize::new(0);
 
-// Process-wide totals, maintained only while accounting is on.
-static G_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static G_FREES: AtomicU64 = AtomicU64::new(0);
-static G_BYTES: AtomicU64 = AtomicU64::new(0);
-static G_FREED: AtomicU64 = AtomicU64::new(0);
-static G_LIVE: AtomicI64 = AtomicI64::new(0);
-static G_PEAK: AtomicI64 = AtomicI64::new(0);
-
-/// Per-scope counters, shared across threads (pool workers charge the
-/// submitting stage's cell through the propagated handle).
-#[derive(Debug)]
-struct ScopeCell {
-    name: &'static str,
+/// Allocation counters shared across threads: a capture's whole-run
+/// totals, or one scope's (pool workers charge them concurrently).
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
     allocs: AtomicU64,
     frees: AtomicU64,
     bytes: AtomicU64,
@@ -66,19 +60,7 @@ struct ScopeCell {
     peak: AtomicI64,
 }
 
-impl ScopeCell {
-    fn new(name: &'static str) -> ScopeCell {
-        ScopeCell {
-            name,
-            allocs: AtomicU64::new(0),
-            frees: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            freed: AtomicU64::new(0),
-            live: AtomicI64::new(0),
-            peak: AtomicI64::new(0),
-        }
-    }
-
+impl Counters {
     fn charge_alloc(&self, size: u64) {
         self.allocs.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(size, Ordering::Relaxed);
@@ -92,7 +74,7 @@ impl ScopeCell {
         self.live.fetch_sub(size as i64, Ordering::Relaxed);
     }
 
-    fn stats(&self) -> ScopeStats {
+    pub(crate) fn stats(&self) -> ScopeStats {
         ScopeStats {
             allocs: self.allocs.load(Ordering::Relaxed),
             frees: self.frees.load(Ordering::Relaxed),
@@ -101,26 +83,49 @@ impl ScopeCell {
             peak_live: self.peak.load(Ordering::Relaxed).max(0) as u64,
         }
     }
+
+    /// Folds in the totals of a closed nested capture: counts add, and
+    /// the nested run's peak stacks on the live level it started from.
+    pub(crate) fn absorb(&self, nested: &ScopeStats) {
+        self.allocs.fetch_add(nested.allocs, Ordering::Relaxed);
+        self.frees.fetch_add(nested.frees, Ordering::Relaxed);
+        self.bytes.fetch_add(nested.bytes, Ordering::Relaxed);
+        self.freed.fetch_add(nested.freed_bytes, Ordering::Relaxed);
+        let live = self.live.load(Ordering::Relaxed);
+        self.peak
+            .fetch_max(live + nested.peak_live as i64, Ordering::Relaxed);
+        self.live.fetch_add(
+            nested.bytes as i64 - nested.freed_bytes as i64,
+            Ordering::Relaxed,
+        );
+    }
 }
 
-/// A snapshot of one attribution scope's counters.
+/// One [`AllocScope`]'s name and counters.
+#[derive(Debug)]
+pub(crate) struct ScopeCell {
+    name: &'static str,
+    counters: Counters,
+}
+
+/// A snapshot of allocation counters: one scope's, or a whole capture's.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScopeStats {
-    /// Allocations charged to the scope.
+    /// Allocations charged.
     pub allocs: u64,
-    /// Deallocations charged to the scope.
+    /// Deallocations charged.
     pub frees: u64,
-    /// Bytes allocated while the scope was innermost.
+    /// Bytes allocated.
     pub bytes: u64,
-    /// Bytes freed while the scope was innermost.
+    /// Bytes freed.
     pub freed_bytes: u64,
-    /// Peak of the scope's own net live bytes (allocated − freed within
-    /// the scope; clamped at zero — a scope that only frees reports 0).
+    /// Peak of the net live bytes (allocated − freed since the scope or
+    /// capture opened; clamped at zero — one that only frees reports 0).
     pub peak_live: u64,
 }
 
 impl ScopeStats {
-    fn merge(&mut self, other: &ScopeStats) {
+    pub(crate) fn merge(&mut self, other: &ScopeStats) {
         self.allocs += other.allocs;
         self.frees += other.frees;
         self.bytes += other.bytes;
@@ -132,63 +137,35 @@ impl ScopeStats {
     }
 }
 
-/// Process-wide allocation totals (valid while accounting is on).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GlobalStats {
-    /// Total allocations.
-    pub allocs: u64,
-    /// Total deallocations.
-    pub frees: u64,
-    /// Total bytes allocated.
-    pub bytes: u64,
-    /// Total bytes freed.
-    pub freed_bytes: u64,
-    /// Currently live bytes (allocated − freed since accounting began;
-    /// clamped at zero).
-    pub live_bytes: u64,
-    /// Peak of `live_bytes` since the last [`reset_peak_live`].
-    pub peak_live: u64,
-}
-
-std::thread_local! {
-    /// The innermost attribution scope on this thread. A raw pointer so
-    /// the allocation hot path never touches a type with a destructor;
-    /// validity is guaranteed by the [`AllocScope`]/[`with_scope`] frame
-    /// that set it (the pointer is cleared before that frame releases
-    /// its `Arc`).
-    static CURRENT: Cell<*const ScopeCell> = const { Cell::new(std::ptr::null()) };
-}
-
-// `inline(never)`: keeps the TLS access and its lazy-init check out of
-// the allocator's disabled fast path, which must stay a bare
-// load-test-branch around the `System` call.
+// `inline(never)`: keeps the TLS access out of the allocator's disabled
+// fast path, which must stay a bare load-test-branch around the
+// `System` call.
 #[inline(never)]
-fn charge_alloc(size: usize) {
-    let size = size as u64;
-    G_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    G_BYTES.fetch_add(size, Ordering::Relaxed);
-    let live = G_LIVE.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
-    G_PEAK.fetch_max(live, Ordering::Relaxed);
-    let cell = CURRENT.with(Cell::get);
-    if !cell.is_null() {
-        // SAFETY: non-null means an AllocScope / with_scope frame on this
-        // thread is alive and holds the Arc; it nulls the pointer before
-        // dropping it.
-        unsafe { (*cell).charge_alloc(size) };
-    }
-}
-
-#[inline(never)]
-fn charge_dealloc(size: usize) {
-    let size = size as u64;
-    G_FREES.fetch_add(1, Ordering::Relaxed);
-    G_FREED.fetch_add(size, Ordering::Relaxed);
-    G_LIVE.fetch_sub(size as i64, Ordering::Relaxed);
-    let cell = CURRENT.with(Cell::get);
-    if !cell.is_null() {
-        // SAFETY: as in `charge_alloc`.
-        unsafe { (*cell).charge_dealloc(size) };
-    }
+fn charge(size: usize, alloc: bool) {
+    AMBIENT.with(|a| {
+        if a.bookkeeping.get() {
+            return;
+        }
+        let size = size as u64;
+        let charge = |c: &Counters| {
+            if alloc {
+                c.charge_alloc(size)
+            } else {
+                c.charge_dealloc(size)
+            }
+        };
+        // SAFETY: a non-null pointer was installed by a frame on this
+        // thread (a capture, an AllocScope, or CaptureHandle::run) that
+        // holds its Arc and restores the pointer before releasing it.
+        unsafe {
+            if let Some(sink) = a.sink.get().as_ref() {
+                charge(&sink.counters);
+            }
+            if let Some(scope) = a.scope.get().as_ref() {
+                charge(&scope.counters);
+            }
+        }
+    });
 }
 
 // SAFETY: forwards every operation to `System`, only adding counter
@@ -198,7 +175,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() && ACCOUNTING.load(Ordering::Relaxed) {
-            charge_alloc(layout.size());
+            charge(layout.size(), true);
         }
         p
     }
@@ -207,7 +184,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() && ACCOUNTING.load(Ordering::Relaxed) {
-            charge_alloc(layout.size());
+            charge(layout.size(), true);
         }
         p
     }
@@ -215,7 +192,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     #[inline]
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         if ACCOUNTING.load(Ordering::Relaxed) {
-            charge_dealloc(layout.size());
+            charge(layout.size(), false);
         }
         System.dealloc(ptr, layout);
     }
@@ -227,8 +204,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
             // One grow/shrink = one allocation of the new block plus one
             // free of the old, so `bytes` totals remain "every byte the
             // allocator was asked for" (Vec's doubling shows up exactly).
-            charge_alloc(new_size);
-            charge_dealloc(layout.size());
+            charge(new_size, true);
+            charge(layout.size(), false);
         }
         p
     }
@@ -263,40 +240,6 @@ pub fn accounting() -> bool {
     ACCOUNTING.load(Ordering::Relaxed)
 }
 
-/// The process-wide totals. Counters only move while accounting is on,
-/// so a `snapshot → work → snapshot` delta brackets exactly the
-/// accounted region.
-pub fn global_stats() -> GlobalStats {
-    GlobalStats {
-        allocs: G_ALLOCS.load(Ordering::Relaxed),
-        frees: G_FREES.load(Ordering::Relaxed),
-        bytes: G_BYTES.load(Ordering::Relaxed),
-        freed_bytes: G_FREED.load(Ordering::Relaxed),
-        live_bytes: G_LIVE.load(Ordering::Relaxed).max(0) as u64,
-        peak_live: G_PEAK.load(Ordering::Relaxed).max(0) as u64,
-    }
-}
-
-/// Resets the global peak-live watermark to the current live level, so
-/// the next [`global_stats`] read reports the peak *since this call* —
-/// the "how much extra memory did this query need" question E21 asks.
-pub fn reset_peak_live() {
-    G_PEAK.store(G_LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
-/// Closed-scope totals by stage name, merged as owner scopes drop.
-static SCOPE_TOTALS: Mutex<BTreeMap<&'static str, ScopeStats>> = Mutex::new(BTreeMap::new());
-
-/// Drains and returns the per-stage totals accumulated since the last
-/// call (name-sorted). `EXPLAIN ANALYZE` drains before and after its
-/// measured run so the table holds exactly that run's stages; like the
-/// span recorder slot, the table is process-global — concurrent analyzed
-/// runs would mix their attributions.
-pub fn take_scope_totals() -> Vec<(&'static str, ScopeStats)> {
-    let mut map = SCOPE_TOTALS.lock().expect("scope totals poisoned");
-    std::mem::take(&mut *map).into_iter().collect()
-}
-
 /// An attribution scope: while it is the innermost scope on a thread,
 /// that thread's allocations are charged to `name`. Inert (and free
 /// beyond one relaxed load) when accounting is off.
@@ -318,10 +261,13 @@ impl AllocScope {
                 prev: std::ptr::null(),
             };
         }
-        // The Arc itself is allocated before the scope becomes current,
-        // so a scope never charges its own bookkeeping to itself.
-        let cell = Arc::new(ScopeCell::new(name));
-        let prev = CURRENT.with(|c| c.replace(Arc::as_ptr(&cell)));
+        let cell = bookkeeping(|| {
+            Arc::new(ScopeCell {
+                name,
+                counters: Counters::default(),
+            })
+        });
+        let prev = AMBIENT.with(|a| a.scope.replace(Arc::as_ptr(&cell)));
         AllocScope {
             cell: Some(cell),
             prev,
@@ -333,77 +279,31 @@ impl AllocScope {
     pub fn stats(&self) -> ScopeStats {
         self.cell
             .as_ref()
-            .map_or(ScopeStats::default(), |c| c.stats())
+            .map_or(ScopeStats::default(), |c| c.counters.stats())
     }
 }
 
 impl Drop for AllocScope {
     fn drop(&mut self) {
         if let Some(cell) = self.cell.take() {
-            // Restore the stack *before* any bookkeeping that may
-            // allocate, so the merge below is charged to the parent.
-            CURRENT.with(|c| c.set(self.prev));
-            let stats = cell.stats();
-            let mut map = SCOPE_TOTALS.lock().expect("scope totals poisoned");
-            map.entry(cell.name).or_default().merge(&stats);
+            AMBIENT.with(|a| a.scope.set(self.prev));
+            bookkeeping(|| {
+                crate::capture::report_scope(cell.name, &cell.counters.stats());
+                drop(cell);
+            });
         }
     }
-}
-
-/// A cloneable handle to a live scope, for carrying attribution across
-/// threads (the worker pool captures one at submission).
-#[derive(Clone, Debug)]
-pub struct ScopeHandle(Arc<ScopeCell>);
-
-/// The innermost scope of the current thread, if any. The handle keeps
-/// the scope's counters alive independently of the originating
-/// [`AllocScope`] guard.
-pub fn current_scope() -> Option<ScopeHandle> {
-    let ptr = CURRENT.with(Cell::get);
-    if ptr.is_null() {
-        return None;
-    }
-    // SAFETY: a non-null CURRENT means the AllocScope / with_scope frame
-    // that set it is still alive on this thread (they null the pointer
-    // before releasing their Arc), so the strong count is ≥ 1 and the
-    // pointer came from `Arc::as_ptr`.
-    unsafe {
-        Arc::increment_strong_count(ptr);
-        Some(ScopeHandle(Arc::from_raw(ptr)))
-    }
-}
-
-/// Runs `f` with `handle`'s scope installed as this thread's innermost
-/// scope (restored afterwards, also on panic). This is how pool workers
-/// charge the submitting stage.
-pub fn with_scope<T>(handle: &ScopeHandle, f: impl FnOnce() -> T) -> T {
-    struct Restore(*const ScopeCell);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CURRENT.with(|c| c.set(self.0));
-        }
-    }
-    let prev = CURRENT.with(|c| c.replace(Arc::as_ptr(&handle.0)));
-    let _restore = Restore(prev);
-    f()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes the accounting tests: the enable switch and the totals
-    /// table are process-global.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::capture::{capture, tests::accounting_lock as lock};
 
     #[test]
     fn disabled_scopes_are_inert() {
         let _l = lock();
-        assert!(!accounting(), "tests serialize on TEST_LOCK");
+        assert!(!accounting(), "tests serialize on the accounting lock");
         let s = AllocScope::enter("test.inert");
         let _v: Vec<u64> = Vec::with_capacity(64);
         assert_eq!(s.stats(), ScopeStats::default());
@@ -440,45 +340,31 @@ mod tests {
     }
 
     #[test]
-    fn closed_scopes_merge_into_the_totals_table() {
+    fn closed_scopes_report_to_the_open_capture() {
         let _l = lock();
         let _on = AccountingGuard::begin();
-        take_scope_totals();
-        {
+        let ((), captured) = capture(|| {
             let _s = AllocScope::enter("test.totals");
             let _v: Vec<u8> = Vec::with_capacity(2048);
-        }
-        let totals = take_scope_totals();
-        let row = totals.iter().find(|(n, _)| *n == "test.totals");
-        let (_, stats) = row.expect("closed scope recorded");
-        assert!(stats.bytes >= 2048, "{stats:?}");
-    }
-
-    #[test]
-    fn handles_carry_attribution_across_threads() {
-        let _l = lock();
-        let _on = AccountingGuard::begin();
-        let scope = AllocScope::enter("test.cross");
-        let handle = current_scope().expect("scope is current");
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                with_scope(&handle, || {
-                    let _v: Vec<u8> = Vec::with_capacity(8192);
-                });
-            });
         });
-        assert!(scope.stats().bytes >= 8192, "{:?}", scope.stats());
+        let stats = captured
+            .scope("test.totals")
+            .expect("closed scope recorded");
+        assert!(stats.bytes >= 2048, "{stats:?}");
+        // The capture's own totals cover the scope's allocations too.
+        assert!(captured.alloc.bytes >= 2048, "{:?}", captured.alloc);
     }
 
     #[test]
-    fn global_stats_move_only_while_accounting() {
+    fn captures_count_only_while_accounting() {
         let _l = lock();
-        let _on = AccountingGuard::begin();
-        let before = global_stats();
-        let v: Vec<u8> = Vec::with_capacity(1 << 14);
-        let after = global_stats();
+        let (v, captured) = capture(|| Vec::<u8>::with_capacity(1 << 14));
         drop(v);
-        assert!(after.bytes >= before.bytes + (1 << 14));
-        assert!(after.allocs > before.allocs);
+        assert_eq!(captured.alloc, ScopeStats::default());
+        let _on = AccountingGuard::begin();
+        let (v, captured) = capture(|| Vec::<u8>::with_capacity(1 << 14));
+        drop(v);
+        assert!(captured.alloc.bytes >= 1 << 14);
+        assert!(captured.alloc.peak_live >= 1 << 14);
     }
 }

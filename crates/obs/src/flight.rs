@@ -11,10 +11,9 @@
 //! in a separate ring with their full `EXPLAIN ANALYZE` text and a
 //! re-runnable reproducer rendering ([`slow_recent`]).
 //!
-//! **Disabled path.** Like the span recorder, the flight recorder costs
-//! nothing when off: its enable bit lives in the same atomic word the
-//! span gate loads, so instrumented code pays one relaxed load total for
-//! both subsystems (budgeted by `--check-noop-overhead`).
+//! **Disabled path.** The flight recorder costs nothing when off: the
+//! engine checks [`enabled`], one relaxed atomic load, before doing any
+//! recording work (budgeted by `--check-noop-overhead`).
 //!
 //! **Ring semantics.** Each submission takes a ticket from an atomic
 //! counter and writes slot `ticket % capacity`, overwriting only records
@@ -23,20 +22,20 @@
 //! settle, the ring holds exactly the newest `capacity` records (the
 //! property the eviction proptest pins).
 //!
-//! Span capture rides the existing [`crate::span`] machinery: the engine
-//! scopes a thread-local *current query id* around each evaluation (the
-//! worker pool propagates it into chunk tasks alongside ambient depth),
-//! open spans remember it, and closed spans are buffered per query until
-//! the engine calls [`take_spans`] and [`submit`]s the finished record.
+//! **Spans.** The engine runs each recorded evaluation inside a
+//! [`capture`](crate::capture()), which collects the evaluation's spans
+//! on its own thread and on every pool worker acting for it, and
+//! [`submit`]s the record with them. The query service wraps a whole
+//! wire request in [`record_request`], so the record also carries the
+//! service's own `serve.*` spans and the response size.
 
-use std::cell::Cell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
-use crate::recorder::span_to_json;
 use crate::span::SpanRecord;
+use crate::summary::span_to_json;
 
 /// Tunables for the flight recorder. [`FlightConfig::from_env`] resolves
 /// the slow threshold from `TREEQUERY_SLOW_MS`.
@@ -50,7 +49,7 @@ pub struct FlightConfig {
     /// nanoseconds. `None` disables the slow log (a per-engine
     /// `PlannerConfig::slow_query_ms` can still opt in).
     pub slow_threshold_ns: Option<u64>,
-    /// Per-query cap on buffered spans; spans past it are counted in
+    /// Per-record cap on retained spans; spans past it are counted in
     /// [`QueryRecord::dropped_spans`] instead of retained.
     pub max_spans_per_query: usize,
 }
@@ -127,8 +126,8 @@ pub struct QueryRecord {
     /// Whether the counter read never quiesced — the record's timing is
     /// exact but any attached counters are degraded.
     pub torn: bool,
-    /// The spans that closed while this query was current, in close
-    /// order (the raw material for the Chrome trace export).
+    /// The spans the query's capture collected, in close order (the raw
+    /// material for the Chrome trace export).
     pub spans: Vec<SpanRecord>,
     /// Spans dropped past [`FlightConfig::max_spans_per_query`].
     pub dropped_spans: u64,
@@ -142,9 +141,8 @@ pub struct QueryRecord {
     /// nanoseconds (0 for direct engine use and fast-lane admissions
     /// that never waited).
     pub admission_wait_ns: u64,
-    /// Serialized response size in bytes, attached after the fact by
-    /// [`annotate_response`] (0 until then, and always 0 for direct
-    /// engine use).
+    /// Serialized response size in bytes, set through
+    /// [`annotate_response`] (always 0 for direct engine use).
     pub resp_bytes: u64,
 }
 
@@ -259,20 +257,6 @@ impl<T: Clone> TicketRing<T> {
         self.ticket.load(Ordering::Relaxed)
     }
 
-    /// Rewrites retained values in place: `f` returns `Some(new)` for
-    /// values it wants replaced. Ticket ownership is untouched, so the
-    /// eviction invariant is preserved.
-    fn update(&self, mut f: impl FnMut(&T) -> Option<T>) {
-        for slot in self.slots.iter() {
-            let mut guard = slot.lock().expect("flight ring slot poisoned");
-            if let Some((ticket, value)) = &*guard {
-                if let Some(new) = f(value) {
-                    *guard = Some((*ticket, new));
-                }
-            }
-        }
-    }
-
     /// Retained values, oldest first (by ticket).
     fn collect(&self) -> Vec<T> {
         let mut rows: Vec<(u64, T)> = self
@@ -285,29 +269,30 @@ impl<T: Clone> TicketRing<T> {
     }
 }
 
-/// Per-query buffer of closed spans awaiting [`take_spans`].
-struct Pending {
-    spans: Vec<SpanRecord>,
-    dropped: u64,
-}
-
 struct FlightState {
     config: FlightConfig,
     next_id: AtomicU64,
     recent: TicketRing<Arc<QueryRecord>>,
     slow: TicketRing<SlowQuery>,
-    pending: Mutex<HashMap<u64, Pending>>,
 }
 
 static STATE: Mutex<Option<Arc<FlightState>>> = Mutex::new(None);
+/// Mirrors `STATE.is_some()` for the one-load [`enabled`] check.
+static ENABLED: AtomicBool = AtomicBool::new(false);
+
+/// A wire request being recorded on this thread (see [`record_request`]).
+#[derive(Default)]
+struct OpenRequest {
+    /// The record the evaluation submitted, held until the request ends.
+    deferred: Option<(QueryRecord, Option<SlowDetail>)>,
+    resp_bytes: u64,
+}
 
 thread_local! {
-    /// The query id spans opened on this thread attribute to (0 = none).
-    static CURRENT: Cell<u64> = const { Cell::new(0) };
     /// The wire-request context the serving layer attached (None for
     /// direct engine use).
-    static REQUEST_CTX: std::cell::RefCell<Option<RequestCtx>> =
-        const { std::cell::RefCell::new(None) };
+    static REQUEST_CTX: RefCell<Option<RequestCtx>> = const { RefCell::new(None) };
+    static REQUEST: RefCell<Option<OpenRequest>> = const { RefCell::new(None) };
 }
 
 /// Wire-request context the serving layer attaches around an evaluation
@@ -355,27 +340,25 @@ pub fn install(config: FlightConfig) {
         recent: TicketRing::new(config.capacity),
         slow: TicketRing::new(config.slow_capacity),
         next_id: AtomicU64::new(0),
-        pending: Mutex::new(HashMap::new()),
         config,
     });
     let mut slot = STATE.lock().expect("flight state poisoned");
     *slot = Some(state);
-    crate::set_flag(crate::FLAG_FLIGHT);
+    ENABLED.store(true, Ordering::Release);
 }
 
 /// Uninstalls the flight recorder; evaluation goes back to the
 /// one-relaxed-load disabled path and retained records are dropped.
 pub fn uninstall() {
     let mut slot = STATE.lock().expect("flight state poisoned");
-    crate::clear_flag(crate::FLAG_FLIGHT);
+    ENABLED.store(false, Ordering::Release);
     *slot = None;
 }
 
-/// Whether the flight recorder is installed. One relaxed atomic load
-/// (the same word the span gate reads).
+/// Whether the flight recorder is installed. One relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    crate::flags() & crate::FLAG_FLIGHT != 0
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// The installed slow threshold, if any (engine configuration may
@@ -393,68 +376,27 @@ pub fn begin_query() -> u64 {
     }
 }
 
-/// The query id spans opened on this thread currently attribute to
-/// (0 = none). Worker pools capture this on the submitting thread and
-/// replay it on workers via [`with_current_query`], exactly like
-/// ambient span depth.
-#[inline]
-pub fn current_query() -> u64 {
-    CURRENT.with(|c| c.get())
-}
-
-/// Runs `f` with this thread's current query id set to `id`, restoring
-/// the previous id afterwards (also on panic).
-pub fn with_current_query<T>(id: u64, f: impl FnOnce() -> T) -> T {
-    struct Restore(u64);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CURRENT.with(|c| c.set(self.0));
-        }
-    }
-    let previous = CURRENT.with(|c| c.replace(id));
-    let _restore = Restore(previous);
-    f()
-}
-
-/// Buffers a closed span for query `id`. Called by the span core when a
-/// span that opened under a current query closes.
-pub(crate) fn deliver(id: u64, span: SpanRecord) {
-    let Some(state) = state() else { return };
-    let mut pending = state.pending.lock().expect("flight pending poisoned");
-    // Bound the buffer map itself: a query that never submits (e.g. a
-    // panicking evaluation) must not pin memory forever.
-    if pending.len() >= 1024 && !pending.contains_key(&id) {
-        return;
-    }
-    let entry = pending.entry(id).or_insert_with(|| Pending {
-        spans: Vec::new(),
-        dropped: 0,
-    });
-    if entry.spans.len() >= state.config.max_spans_per_query {
-        entry.dropped += 1;
-    } else {
-        entry.spans.push(span);
-    }
-}
-
-/// Removes and returns the spans buffered for query `id` (close order)
-/// plus the count of spans dropped past the per-query cap.
-pub fn take_spans(id: u64) -> (Vec<SpanRecord>, u64) {
-    let Some(state) = state() else {
-        return (Vec::new(), 0);
-    };
-    let mut pending = state.pending.lock().expect("flight pending poisoned");
-    match pending.remove(&id) {
-        Some(p) => (p.spans, p.dropped),
-        None => (Vec::new(), 0),
-    }
-}
-
 /// Submits a finished record into the recent ring (and, when
 /// `slow_detail` is given, the slow ring), and publishes the record's
-/// per-stage latencies into the global metrics registry.
+/// per-stage latencies into the global metrics registry. Spans past
+/// [`FlightConfig::max_spans_per_query`] are dropped and counted. Inside
+/// [`record_request`] the record is held back until the request ends.
 pub fn submit(record: QueryRecord, slow_detail: Option<SlowDetail>) {
     let Some(state) = state() else { return };
+    let mut pending = Some((record, slow_detail));
+    REQUEST.with(|r| {
+        if let Some(open) = r.borrow_mut().as_mut() {
+            open.deferred = pending.take();
+        }
+    });
+    let Some((mut record, slow_detail)) = pending else {
+        return;
+    };
+    let cap = state.config.max_spans_per_query;
+    if record.spans.len() > cap {
+        record.dropped_spans += (record.spans.len() - cap) as u64;
+        record.spans.truncate(cap);
+    }
     publish_metrics(&record, slow_detail.is_some());
     let record = Arc::new(record);
     state.recent.push(Arc::clone(&record));
@@ -463,41 +405,48 @@ pub fn submit(record: QueryRecord, slow_detail: Option<SlowDetail>) {
     }
 }
 
-/// Attaches wire-side response accounting to an already-submitted
-/// record: the serialized response size, and (when `serialize_ns` is
-/// non-zero) a synthetic `serve.serialize` span on the same tracing
-/// time base as the real spans. Serialization necessarily happens
-/// *after* the engine submits the record — the response body is built
-/// from the evaluation result — so the rings are patched in place; the
-/// record with `id` may already be evicted, in which case this is a
-/// no-op. Ring tickets are untouched, so eviction order is preserved.
-pub fn annotate_response(id: u64, resp_bytes: u64, serialize_ns: u64) {
-    let Some(state) = state() else { return };
-    let serialize_span = (serialize_ns > 0).then(|| SpanRecord {
-        name: "serve.serialize",
-        start_ns: crate::span::now_since_epoch_ns().saturating_sub(serialize_ns),
-        duration_ns: serialize_ns,
-        depth: 0,
-        thread: crate::span::current_thread_id(),
-        fields: Vec::new(),
-    });
-    let annotate = |record: &Arc<QueryRecord>| -> Option<Arc<QueryRecord>> {
-        if record.id != id {
-            return None;
+/// Records one wire request: runs `f` inside a
+/// [`capture`](crate::capture()) and then submits the record the
+/// evaluation inside `f` produced, carrying every span the request
+/// closed — the service's own `serve.*` spans around the evaluation
+/// included — and the size passed to [`annotate_response`]. A request
+/// that never reached evaluation (a parse error, an admission
+/// rejection) submits nothing. Requests do not nest. Without an
+/// installed recorder this is just `f()`.
+pub fn record_request<T>(f: impl FnOnce() -> T) -> T {
+    if !enabled() {
+        return f();
+    }
+    /// Ends the request on this thread also when `f` unwinds.
+    struct Close;
+    impl Drop for Close {
+        fn drop(&mut self) {
+            REQUEST.with(|r| r.borrow_mut().take());
         }
-        let mut new = (**record).clone();
-        new.resp_bytes = resp_bytes;
-        if let Some(span) = serialize_span.clone() {
-            new.spans.push(span);
+    }
+    REQUEST.with(|r| *r.borrow_mut() = Some(OpenRequest::default()));
+    let _close = Close;
+    let (out, captured) = crate::capture(f);
+    let open = REQUEST.with(|r| r.borrow_mut().take());
+    if let Some(OpenRequest {
+        deferred: Some((mut record, detail)),
+        resp_bytes,
+    }) = open
+    {
+        record.spans = captured.spans;
+        record.resp_bytes = resp_bytes;
+        submit(record, detail);
+    }
+    out
+}
+
+/// Sets the serialized response size of the request being recorded on
+/// this thread (see [`record_request`]); a no-op elsewhere.
+pub fn annotate_response(resp_bytes: u64) {
+    REQUEST.with(|r| {
+        if let Some(open) = r.borrow_mut().as_mut() {
+            open.resp_bytes = resp_bytes;
         }
-        Some(Arc::new(new))
-    };
-    state.recent.update(annotate);
-    state.slow.update(|sq: &SlowQuery| {
-        annotate(&sq.record).map(|record| SlowQuery {
-            record,
-            detail: sq.detail.clone(),
-        })
     });
 }
 
@@ -710,36 +659,33 @@ mod tests {
         uninstall();
     }
 
-    #[test]
-    fn pending_spans_are_buffered_per_query_and_capped() {
-        let _g = test_lock();
-        install(FlightConfig {
-            max_spans_per_query: 2,
-            ..FlightConfig::default()
-        });
-        let span = |name: &'static str| SpanRecord {
+    fn span(name: &'static str) -> SpanRecord {
+        SpanRecord {
             name,
             start_ns: 0,
             duration_ns: 1,
             depth: 0,
             thread: 0,
             fields: Vec::new(),
-        };
-        let q = begin_query();
-        assert!(q > 0);
-        deliver(q, span("a"));
-        deliver(q, span("b"));
-        deliver(q, span("c")); // past the cap
-        deliver(q + 1, span("other"));
-        let (spans, dropped) = take_spans(q);
+        }
+    }
+
+    #[test]
+    fn submit_caps_spans_per_record() {
+        let _g = test_lock();
+        install(FlightConfig {
+            max_spans_per_query: 2,
+            ..FlightConfig::default()
+        });
+        let mut r = record(1);
+        r.spans = vec![span("a"), span("b"), span("c")];
+        submit(r, None);
+        let kept = latest().unwrap();
         assert_eq!(
-            spans.iter().map(|s| s.name).collect::<Vec<_>>(),
+            kept.spans.iter().map(|s| s.name).collect::<Vec<_>>(),
             vec!["a", "b"]
         );
-        assert_eq!(dropped, 1);
-        // Taking is destructive; the other query's buffer is untouched.
-        assert_eq!(take_spans(q).0.len(), 0);
-        assert_eq!(take_spans(q + 1).0.len(), 1);
+        assert_eq!(kept.dropped_spans, 1);
         uninstall();
     }
 
@@ -760,34 +706,41 @@ mod tests {
     }
 
     #[test]
-    fn annotate_response_patches_retained_records_only() {
+    fn record_request_submits_with_request_spans_and_response_size() {
         let _g = test_lock();
-        install(FlightConfig {
-            capacity: 2,
-            slow_capacity: 2,
-            ..FlightConfig::default()
+        install(FlightConfig::default());
+        let out = record_request(|| {
+            drop(crate::span("serve.lock"));
+            let mut evaluated = record(1);
+            evaluated.tenant = "alpha".into();
+            evaluated.trace_id = "trace-1".into();
+            evaluated.spans = vec![span("exec.run")];
+            submit(
+                evaluated,
+                Some(SlowDetail {
+                    explain: "E".into(),
+                    reproducer: "R".into(),
+                }),
+            );
+            assert!(recent().is_empty(), "held until the request ends");
+            drop(crate::span("serve.serialize"));
+            annotate_response(512);
+            7
         });
-        let mut tagged = record(1);
-        tagged.tenant = "alpha".into();
-        tagged.trace_id = "trace-1".into();
-        submit(
-            tagged,
-            Some(SlowDetail {
-                explain: "E".into(),
-                reproducer: "R".into(),
-            }),
-        );
-        submit(record(2), None);
-        annotate_response(1, 512, 3_000);
-        annotate_response(999, 1, 1); // unknown id: no-op
+        assert_eq!(out, 7);
+        // A request that never evaluated submits nothing.
+        record_request(|| drop(crate::span("serve.lock")));
+        annotate_response(9); // outside a request: no-op
         let recent = recent();
-        let one = recent.iter().find(|r| r.id == 1).unwrap();
+        assert_eq!(recent.len(), 1);
+        let one = &recent[0];
         assert_eq!(one.resp_bytes, 512);
         assert_eq!(one.tenant, "alpha");
-        assert_eq!(one.spans.last().unwrap().name, "serve.serialize");
-        assert_eq!(one.spans.last().unwrap().duration_ns, 3_000);
-        assert_eq!(recent.iter().find(|r| r.id == 2).unwrap().resp_bytes, 0);
-        // The slow ring's copy is patched too.
+        assert_eq!(
+            one.spans.iter().map(|s| s.name).collect::<Vec<_>>(),
+            vec!["serve.lock", "serve.serialize"],
+            "the request's spans replace the evaluation's own copy"
+        );
         let slow = slow_recent();
         assert_eq!(slow[0].record.resp_bytes, 512);
         assert_eq!(slow[0].detail.explain, "E");
@@ -813,17 +766,6 @@ mod tests {
         // The typo'd knob falls back (and warns once, in crate::env).
         assert_eq!(FlightConfig::from_slow_ms("25O").slow_threshold_ns, None);
         assert!(crate::env::has_warned("TREEQUERY_SLOW_MS"));
-    }
-
-    #[test]
-    fn current_query_scopes_and_restores() {
-        assert_eq!(current_query(), 0);
-        let inner = with_current_query(42, || {
-            assert_eq!(current_query(), 42);
-            with_current_query(7, current_query)
-        });
-        assert_eq!(inner, 7);
-        assert_eq!(current_query(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A serde-free JSON value: builder, renderer, and parser.
 //!
 //! The build environment has no crates.io access, so the machine-readable
-//! surfaces (`harness --report`, `JsonLinesRecorder`,
+//! surfaces (`harness --report`, flight records,
 //! `explain_analyze().to_json()`) hand-roll their JSON through this small
 //! value type instead of depending on `serde`.
 

@@ -1,12 +1,12 @@
 //! The span core: guards with monotonic timing, structured fields, and a
-//! per-thread depth stack.
+//! per-thread depth stack, delivered to the opening thread's capture.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use crate::Recorder;
+use crate::capture::{bookkeeping, Sink, AMBIENT};
 
 /// A structured field value attached to a span.
 #[derive(Clone, Debug, PartialEq)]
@@ -41,7 +41,7 @@ pub struct Field {
     pub value: FieldValue,
 }
 
-/// A closed span, as delivered to a [`Recorder`].
+/// A closed span, as a [`crate::capture`] returns it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
     /// The span name (dot-separated taxonomy, e.g. `exec.semijoin`).
@@ -64,22 +64,6 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Nanoseconds since the process's tracing epoch — the same time base
-/// every [`SpanRecord::start_ns`] uses. The flight recorder uses this to
-/// stamp synthetic spans (e.g. response serialization, which happens
-/// after the engine has already submitted the record) on a timeline
-/// consistent with the real ones.
-pub(crate) fn now_since_epoch_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
-}
-
-/// The dense tracing thread id of the calling thread (see
-/// [`SpanRecord::thread`]); exposed so synthetic spans carry the same id
-/// space as real ones.
-pub(crate) fn current_thread_id() -> u64 {
-    thread_id()
-}
-
 fn thread_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     thread_local! {
@@ -95,69 +79,29 @@ fn thread_id() -> u64 {
     })
 }
 
-thread_local! {
-    static DEPTH: Cell<u32> = const { Cell::new(0) };
-}
-
-/// The current thread's span nesting depth (the depth the *next* span
-/// opened here would record). Worker pools capture this on the
-/// submitting thread and replay it on workers via
-/// [`with_ambient_depth`], so chunk spans nest under the stage span that
-/// dispatched them instead of starting a fresh tree at depth 0.
-pub fn current_depth() -> u32 {
-    DEPTH.with(|d| d.get())
-}
-
-/// Runs `f` with this thread's span depth set to `depth`, restoring the
-/// previous depth afterwards (also on panic).
-pub fn with_ambient_depth<T>(depth: u32, f: impl FnOnce() -> T) -> T {
-    struct Restore(u32);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            DEPTH.with(|d| d.set(self.0));
-        }
-    }
-    let previous = DEPTH.with(|d| d.replace(depth));
-    let _restore = Restore(previous);
-    f()
-}
-
-/// Opens a span. When all observability is off this is one relaxed
+/// Opens a span. With no capture open anywhere this is one relaxed
 /// atomic load and returns an inert guard (no clock read, no
-/// allocation). A span is live when a [`Recorder`] is installed, or when
-/// the [`crate::flight`] recorder is on *and* the opening thread is
-/// inside a query scope (so flight capture never pays for spans outside
-/// an evaluation).
+/// allocation). A span is live when the opening thread is inside a
+/// [`crate::capture`] — directly, or through a replayed
+/// [`crate::CaptureHandle`] — and delivers to that capture on close.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    let flags = crate::flags();
-    if flags == 0 {
+    if !crate::capture::any_open() {
         return Span { active: None, name };
     }
-    span_slow(name, flags)
+    span_slow(name)
 }
 
 #[cold]
-fn span_slow(name: &'static str, flags: u32) -> Span {
-    let recorder = if flags & crate::FLAG_RECORDER != 0 {
-        crate::current_recorder()
-    } else {
-        None
-    };
-    let flight = if flags & crate::FLAG_FLIGHT != 0 {
-        crate::flight::current_query()
-    } else {
-        0
-    };
-    if recorder.is_none() && flight == 0 {
-        return Span { active: None, name };
+fn span_slow(name: &'static str) -> Span {
+    match crate::capture::current_sink() {
+        Some(sink) => Span::open(name, sink),
+        None => Span { active: None, name },
     }
-    Span::open(name, recorder, flight)
 }
 
 struct ActiveSpan {
-    recorder: Option<Arc<dyn Recorder>>,
-    flight: u64,
+    sink: Arc<Sink>,
     start: Instant,
     start_ns: u64,
     depth: u32,
@@ -165,24 +109,19 @@ struct ActiveSpan {
 }
 
 /// An open span; closing (dropping) it delivers a [`SpanRecord`] to the
-/// recorder that was installed at open time.
+/// capture that was current at open time.
 pub struct Span {
     active: Option<ActiveSpan>,
     name: &'static str,
 }
 
 impl Span {
-    fn open(name: &'static str, recorder: Option<Arc<dyn Recorder>>, flight: u64) -> Span {
+    fn open(name: &'static str, sink: Arc<Sink>) -> Span {
         let start_ns = epoch().elapsed().as_nanos() as u64;
-        let depth = DEPTH.with(|d| {
-            let v = d.get();
-            d.set(v + 1);
-            v
-        });
+        let depth = AMBIENT.with(|a| a.depth.replace(a.depth.get() + 1));
         Span {
             active: Some(ActiveSpan {
-                recorder,
-                flight,
+                sink,
                 start: Instant::now(),
                 start_ns,
                 depth,
@@ -192,46 +131,43 @@ impl Span {
         }
     }
 
-    /// Whether this span will be delivered to a recorder on close.
+    /// Whether this span will be delivered to a capture on close.
     pub fn is_recording(&self) -> bool {
         self.active.is_some()
     }
 
-    /// Attaches a counter field (no-op on inert spans).
-    pub fn record_u64(&mut self, key: &'static str, value: u64) {
+    fn record(&mut self, key: &'static str, value: impl FnOnce() -> FieldValue) {
         if let Some(a) = &mut self.active {
-            a.fields.push(Field {
-                key,
-                value: FieldValue::U64(value),
+            bookkeeping(|| {
+                a.fields.push(Field {
+                    key,
+                    value: value(),
+                })
             });
         }
+    }
+
+    /// Attaches a counter field (no-op on inert spans).
+    pub fn record_u64(&mut self, key: &'static str, value: u64) {
+        self.record(key, || FieldValue::U64(value));
     }
 
     /// Attaches a boolean field (no-op on inert spans).
     pub fn record_bool(&mut self, key: &'static str, value: bool) {
-        if let Some(a) = &mut self.active {
-            a.fields.push(Field {
-                key,
-                value: FieldValue::Bool(value),
-            });
-        }
+        self.record(key, || FieldValue::Bool(value));
     }
 
-    /// Attaches a string field (no-op on inert spans).
-    pub fn record_str(&mut self, key: &'static str, value: impl Into<String>) {
-        if let Some(a) = &mut self.active {
-            a.fields.push(Field {
-                key,
-                value: FieldValue::Str(value.into()),
-            });
-        }
+    /// Attaches a string field, formatted only when the span is live
+    /// (no-op on inert spans).
+    pub fn record_str(&mut self, key: &'static str, value: impl std::fmt::Display) {
+        self.record(key, || FieldValue::Str(value.to_string()));
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(a) = self.active.take() {
-            DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+            AMBIENT.with(|amb| amb.depth.set(amb.depth.get().saturating_sub(1)));
             let record = SpanRecord {
                 name: self.name,
                 start_ns: a.start_ns,
@@ -240,12 +176,10 @@ impl Drop for Span {
                 thread: thread_id(),
                 fields: a.fields,
             };
-            if let Some(recorder) = &a.recorder {
-                recorder.record_span(&record);
-            }
-            if a.flight != 0 {
-                crate::flight::deliver(a.flight, record);
-            }
+            bookkeeping(|| {
+                a.sink.push_span(record);
+                drop(a.sink);
+            });
         }
     }
 }

@@ -490,16 +490,12 @@ fn verb_query(shared: &Shared, req: &Json, sess: &SessionState, trace_id: &str) 
         );
     };
 
-    // When the flight recorder is installed, open the query scope here —
-    // before the document lock and admission — so the serve-side spans
-    // land on the same record as the engine's evaluation spans, and the
-    // record carries this request's tenant and trace id.
-    let flight_id = if flight::enabled() {
-        flight::begin_query()
-    } else {
-        0
-    };
-    let run = || {
+    // With the flight recorder installed the whole request is recorded —
+    // from before the document lock and admission — so the serve-side
+    // spans land on the same record as the engine's evaluation spans, and
+    // the record carries this request's tenant, trace id and response
+    // size.
+    flight::record_request(|| {
         let doc = {
             let _lock = span("serve.lock");
             doc.read().expect("document poisoned")
@@ -560,7 +556,7 @@ fn verb_query(shared: &Shared, req: &Json, sess: &SessionState, trace_id: &str) 
                 // The trace id is stamped here, before the body is
                 // measured, so `resp_bytes` equals what actually goes on
                 // the wire (the router's later re-stamp is idempotent).
-                let serialize_started = Instant::now();
+                let serialize = span("serve.serialize");
                 let rows = rows_json(doc.tree(), &out);
                 let mut body = proto::ok()
                     .set("id", id)
@@ -576,10 +572,8 @@ fn verb_query(shared: &Shared, req: &Json, sess: &SessionState, trace_id: &str) 
                     }
                 }
                 let resp_bytes = (body.render().len() + 1) as u64; // + '\n'
-                let serialize_ns = serialize_started.elapsed().as_nanos() as u64;
-                if flight_id != 0 {
-                    flight::annotate_response(flight_id, resp_bytes, serialize_ns);
-                }
+                drop(serialize);
+                flight::annotate_response(resp_bytes);
                 shared.usage.record_query(
                     &sess.tenant,
                     wall_ns,
@@ -592,17 +586,7 @@ fn verb_query(shared: &Shared, req: &Json, sess: &SessionState, trace_id: &str) 
             }
             Err(e) => engine_error_json(&e, id),
         }
-    };
-    if flight_id != 0 {
-        let body = flight::with_current_query(flight_id, run);
-        // Pre-evaluation exits (parse error, admission rejection) never
-        // reach the engine's span collection; drop anything pending so
-        // the capped span map can't fill with orphans.
-        let _ = flight::take_spans(flight_id);
-        body
-    } else {
-        run()
-    }
+    })
 }
 
 fn admission_str(v: AdmissionVerdict) -> &'static str {

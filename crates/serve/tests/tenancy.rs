@@ -301,6 +301,11 @@ fn flight_records_join_tenant_trace_and_response() {
             "span {expected} missing from {span_names:?}"
         );
     }
+    // The evaluation's span tree rides along exactly once, and the reply
+    // serialization closes last.
+    let runs = span_names.iter().filter(|n| **n == "exec.run").count();
+    assert_eq!(runs, 1, "{span_names:?}");
+    assert_eq!(span_names.last(), Some(&"serve.serialize"));
     server.shutdown().unwrap();
 }
 

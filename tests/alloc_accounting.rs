@@ -2,13 +2,14 @@
 //! known allocation pattern, scope propagation across the worker pool,
 //! and the `mem` columns `EXPLAIN ANALYZE` joins onto the stage tree.
 //!
-//! The accounting switch and the scope-totals table are process-global,
-//! so these tests serialize on one mutex (mirroring the unit tests inside
-//! `treequery-obs`).
+//! Attribution is per thread (and per capture), but the accounting
+//! switch is process-global, so these tests serialize on one mutex
+//! (mirroring the unit tests inside `treequery-obs`).
 
 use std::sync::Mutex;
 
-use treequery::obs::alloc::{current_scope, with_scope, AccountingGuard, AllocScope, ScopeStats};
+use treequery::obs::alloc::{AccountingGuard, AllocScope, ScopeStats};
+use treequery::obs::{capture, CaptureHandle};
 use treequery::plan::WorkerPool;
 use treequery::{parse_term, Engine, Query};
 
@@ -78,21 +79,29 @@ fn scope_attribution_survives_a_pool_round_trip() {
 }
 
 /// The handle API the pool uses, exercised directly across a plain
-/// spawned thread.
+/// spawned thread: the current scope and capture both travel with it.
 #[test]
 fn current_scope_handle_carries_attribution() {
     let _l = lock();
     let _on = AccountingGuard::begin();
-    let scope = AllocScope::enter("test.handle");
-    let handle = current_scope().expect("a scope is current");
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            with_scope(&handle, || {
-                let _v: Vec<u8> = Vec::with_capacity(32 * 1024);
+    let (bytes, captured) = capture(|| {
+        let scope = AllocScope::enter("test.handle");
+        let handle = CaptureHandle::current();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                handle.run(|| {
+                    let _v: Vec<u8> = Vec::with_capacity(32 * 1024);
+                });
             });
         });
+        scope.stats().bytes
     });
-    assert!(scope.stats().bytes >= 32 * 1024, "{:?}", scope.stats());
+    assert!(bytes >= 32 * 1024, "{bytes}");
+    assert!(captured.alloc.bytes >= 32 * 1024, "{:?}", captured.alloc);
+    let stage = captured
+        .scope("test.handle")
+        .expect("scope closed in capture");
+    assert!(stage.bytes >= 32 * 1024, "{stage:?}");
 }
 
 /// `EXPLAIN ANALYZE` turns accounting on for the run and joins the scope
@@ -127,17 +136,15 @@ fn explain_analyze_reports_per_stage_memory() {
         > Some(0)));
 }
 
-/// Accounting is off outside guards: a plain `Engine::eval` run leaves no
-/// scope totals behind and attaches no mem columns.
+/// Accounting is off outside guards: a captured `Engine::eval` run
+/// still records its spans but reports no allocations and no scopes.
 #[test]
 fn unaccounted_runs_attach_no_mem() {
     let _l = lock();
-    treequery::obs::alloc::take_scope_totals();
     let t = parse_term("r(a(b) a)").unwrap();
     let e = Engine::new(&t);
-    e.xpath("//a").unwrap();
-    assert!(
-        treequery::obs::alloc::take_scope_totals().is_empty(),
-        "no guard, no attribution"
-    );
+    let (_, captured) = capture(|| e.xpath("//a").unwrap());
+    assert!(!captured.spans.is_empty(), "spans are captured");
+    assert!(captured.scopes.is_empty(), "no guard, no attribution");
+    assert_eq!(captured.alloc, ScopeStats::default());
 }

@@ -114,10 +114,6 @@ fn hammered_engine_keeps_its_counters_consistent() {
         "the 4-worker engine should have dispatched parallel kernels"
     );
     assert!(m.parallel_chunks >= m.parallel_kernels);
-    // Concurrent explain_analyze calls race their recorder restores (the
-    // documented treequery-obs model); leave the process clean for other
-    // tests in this binary.
-    treequery::obs::clear_recorder();
 }
 
 /// `EXPLAIN ANALYZE` under parallel execution is deterministic: worker
@@ -182,4 +178,84 @@ fn parallel_explain_analyze_is_deterministic() {
             .collect::<Vec<_>>()
     };
     assert_eq!(plan_lines(&first.render()), plan_lines(&second.render()));
+}
+
+/// Regression: `EXPLAIN ANALYZE` reports exactly its own run while other
+/// threads evaluate batches on the same engine and the same worker pool.
+/// Every report's stage rows (names, calls, depths, summed fields,
+/// per-stage allocation counts) and its executor counters must equal a
+/// solo run's. The XPath query runs parallel kernels; the CQ allocates
+/// in every stage of its reducer and enumerator.
+#[test]
+fn explain_analyze_ignores_concurrent_batches() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    const ROUNDS: usize = 20;
+    let tree = stress_tree();
+    let engine = parallel_engine(&tree);
+    let queries = stress_queries();
+    let analyzed = [
+        Query::xpath("//a/following-sibling::b"),
+        Query::cq("q(x) :- label(x, a), child(x, y), label(y, b)."),
+    ];
+    let rows = |a: &treequery::AnalyzedPlan| {
+        a.stages
+            .iter()
+            .map(|s| {
+                let allocs = s.mem.map(|m| m.allocs);
+                (s.name, s.calls, s.depth, s.fields.clone(), allocs)
+            })
+            .collect::<Vec<_>>()
+    };
+
+    // Warm the plan cache, the pool workers and their scratch pools, so
+    // the solo runs are in the steady state the concurrent runs share.
+    for _ in 0..20 {
+        for q in &analyzed {
+            engine.explain_analyze(q).unwrap();
+        }
+        for result in engine.eval_batch(&queries) {
+            result.unwrap();
+        }
+    }
+    let solo: Vec<_> = analyzed
+        .iter()
+        .map(|q| engine.explain_analyze(q).unwrap())
+        .collect();
+    assert!(
+        solo[0].counters.parallel_kernels > 0,
+        "{}",
+        solo[0].render()
+    );
+    for s in &solo {
+        assert!(
+            s.stages.iter().any(|s| s.mem.is_some_and(|m| m.allocs > 0)),
+            "the report carries allocation counts:\n{}",
+            s.render()
+        );
+    }
+
+    let stop = AtomicBool::new(false);
+    let reports = std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    for result in engine.eval_batch(&queries) {
+                        result.unwrap();
+                    }
+                }
+            });
+        }
+        let reports: Vec<_> = (0..ROUNDS)
+            .flat_map(|_| analyzed.iter().map(|q| engine.explain_analyze(q)))
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        reports
+    });
+    for (i, report) in reports.into_iter().enumerate() {
+        let (report, solo) = (report.unwrap(), &solo[i % analyzed.len()]);
+        assert_eq!(report.output, solo.output);
+        assert_eq!(rows(&report), rows(solo), "{}", report.render());
+        assert_eq!(report.counters, solo.counters, "{}", report.render());
+    }
 }

@@ -81,24 +81,12 @@ TREEQUERY_WORKERS=4 cargo test -q --test corpus_replay
 echo "==> Chrome trace round-trip gate"
 # The demo workload's trace must write, parse back through the committed
 # JSON parser, and validate: one complete span tree per query, with
-# worker-attributed chunk events on at least two threads.
+# worker-attributed chunk events. That worker chunk spans land on their
+# own trace thread is pinned deterministically by the pool_trace test.
 TRACE="$(mktemp -t treequery-trace.XXXXXX.json)"
 trap 'rm -f "$BENCH_OUT" "$REPORT" "$TRACE"' EXIT
 cargo run -p treequery-bench --release --bin harness -q -- --trace "$TRACE"
 cargo run -p treequery-bench --release --bin harness -q -- --check-trace "$TRACE"
-
-echo "==> persistent metrics endpoint gate"
-# One server process, many requests: the probe scrapes /metrics twice
-# (validating the Prometheus exposition), reads /flight and /slow
-# (TREEQUERY_SLOW_MS=0 makes every demo query a slow query), checks the
-# 404/400 paths, then stops the server via GET /shutdown and verifies a
-# clean exit.
-ENDPOINT_PORT=9184
-TREEQUERY_SLOW_MS=0 cargo run -p treequery-bench --release --bin harness -q -- \
-    --serve-metrics "$ENDPOINT_PORT" &
-SERVER_PID=$!
-cargo run -p treequery-bench --release --bin harness -q -- probe-endpoint "$ENDPOINT_PORT"
-wait "$SERVER_PID"
 
 echo "==> query service conformance gate (serve + transcript replay)"
 # One multi-tenant server process, replayed against the committed golden
@@ -116,20 +104,24 @@ wait "$SERVE_PID"
 
 echo "==> tenant observatory gate (tracing + usage + SLO + graceful drain)"
 # One server with the flight recorder and the observatory HTTP listener
-# enabled, exercised by two committed transcripts. The first runs two
-# tenants side by side: trace ids echoed on every reply, per-tenant
-# usage totals pinned exactly against the usage verb, per-class SLO
-# attainment (thresholds relaxed for CI machines), and the tenant/SLO
-# families in the validated /metrics exposition. The probe then checks
-# the HTTP side: /tenants and /slo validate as Prometheus expositions
-# with both tenants present, and /flight contains the record joined to
-# the transcript's explicit trace id. The second transcript shuts the
+# enabled (TREEQUERY_SLOW_MS=0 logs every query as slow), exercised by
+# two committed transcripts. The first runs two tenants side by side:
+# trace ids echoed on every reply, per-tenant usage totals pinned exactly
+# against the usage verb, per-class SLO attainment (thresholds relaxed
+# for CI machines), and the tenant/SLO families in the validated
+# /metrics exposition. The probe then checks the HTTP side: /tenants and
+# /slo validate as Prometheus expositions with both tenants present; two
+# /metrics scrapes each validate (every metric typed once) and carry the
+# engine counters typed as counters and the flight families; /slow holds
+# records with EXPLAIN ANALYZE text; /flight contains the record joined
+# to the transcript's explicit trace id; unknown paths 404 and a garbage
+# request line gets a 400. The second transcript shuts the
 # server down gracefully: a finite heavy query in flight is drained to
 # completion while a runaway NP-class query is cancelled once the
 # --drain-ms budget expires, with both outcomes reported in the ack.
 TENANT_PORT=9186
 OBSERVATORY_PORT=9187
-cargo run -p treequery-bench --release --bin harness -q -- serve "$TENANT_PORT" \
+TREEQUERY_SLOW_MS=0 cargo run -p treequery-bench --release --bin harness -q -- serve "$TENANT_PORT" \
     --flight --http "$OBSERVATORY_PORT" --drain-ms 6000 \
     --slo linear=2000 --slo output_sensitive=4000 --slo polynomial=4000 --slo exponential=8000 &
 TENANT_PID=$!

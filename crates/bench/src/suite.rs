@@ -22,7 +22,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use treequery_core::obs::alloc::AccountingGuard;
-use treequery_core::obs::{self, capture, summarize_spans, Json};
+use treequery_core::obs::{capture, summarize_spans, Json};
 use treequery_core::plan::{applicable_strategies, lower, Strategy};
 use treequery_core::tree::{xmark_document, XmarkConfig};
 use treequery_core::{Engine, Query, Tree};
@@ -231,11 +231,6 @@ pub fn run_suite_with(small_nodes: usize, large_nodes: usize, reps: usize) -> Js
     let engine_small = Engine::new(&small);
     let engine_large = Engine::new(&large);
     let _accounting = AccountingGuard::begin();
-    let wall_family = obs::metrics::global().histogram_family_or_existing(
-        "treequery_bench_wall_ns",
-        "Per-case wall time of the pinned bench suite.",
-        "case",
-    );
 
     let probe = Probe::new();
     let mut cases = Vec::new();
@@ -292,7 +287,6 @@ pub fn run_suite_with(small_nodes: usize, large_nodes: usize, reps: usize) -> Js
         wall.sort_unstable();
         let wall_p50 = wall[wall.len() / 2];
         let wall_p95 = wall[(wall.len() * 95 / 100).min(wall.len() - 1)];
-        wall_family.with_label(&case.id).observe(wall_p50);
         let spans: Vec<Json> = summarize_spans(&spans)
             .iter()
             .map(|s| s.to_json())
@@ -340,7 +334,6 @@ pub fn run_suite_with(small_nodes: usize, large_nodes: usize, reps: usize) -> Js
             }
         }
     }
-    engine_small.metrics_quiesced().publish_to_registry();
     Json::obj()
         .set("schema", SCHEMA)
         .set("git_sha", git_sha())
@@ -615,7 +608,8 @@ mod tests {
     #[test]
     fn suite_report_round_trips_and_compares_clean_against_itself() {
         let report = run_suite_with(80, 160, 2);
-        let parsed = obs::parse_json(&report.render()).expect("report is valid JSON");
+        let parsed =
+            treequery_core::obs::parse_json(&report.render()).expect("report is valid JSON");
         assert_eq!(parsed.get("schema").unwrap().as_str(), Some(SCHEMA));
         let cases = parsed.get("cases").unwrap().as_arr().unwrap();
         assert!(!cases.is_empty());

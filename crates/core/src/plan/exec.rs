@@ -10,6 +10,7 @@ use std::sync::{Arc, Mutex};
 use treequery_cq as cq;
 use treequery_datalog as datalog;
 use treequery_obs::alloc::AllocScope;
+use treequery_obs::metrics::{MetricSnapshot, MetricValue};
 use treequery_tree::{NodeId, NodeSet, Tree};
 use treequery_xpath as xpath;
 
@@ -71,7 +72,9 @@ pub struct Metrics {
     pub candidate_nodes: AtomicU64,
     /// Acyclic parts evaluated inside rewrite unions.
     pub union_parts: AtomicU64,
-    /// Nodes touched by linear sweeps (set-at-a-time, datalog grounding).
+    /// The nominal |D|·|Q| bound of each linear sweep (set-at-a-time,
+    /// datalog grounding): tree size times query or program size, added
+    /// per run rather than counted node by node.
     pub nodes_swept: AtomicU64,
     /// Variable assignments attempted by the backtracking evaluator.
     pub backtrack_assignments: AtomicU64,
@@ -106,7 +109,7 @@ pub struct MetricsSnapshot {
     pub candidate_nodes: u64,
     /// Acyclic parts evaluated inside rewrite unions.
     pub union_parts: u64,
-    /// Nodes touched by linear sweeps.
+    /// The nominal |D|·|Q| bound of the linear sweeps.
     pub nodes_swept: u64,
     /// Variable assignments attempted by the backtracking evaluator.
     pub backtrack_assignments: u64,
@@ -238,92 +241,88 @@ impl Metrics {
 }
 
 impl MetricsSnapshot {
-    /// Publishes the snapshot into the process-wide
-    /// [`treequery_obs::metrics`] registry as `treequery_`-prefixed
-    /// gauges, one per counter. This is the growth path for pipeline
-    /// observables: the fixed atomic block stays for the hot executor
-    /// counters, and anything that wants scraping (Prometheus text
-    /// exposition via `obs::prom`, `harness --serve-metrics`) goes
-    /// through the registry.
-    pub fn publish_to_registry(&self) {
-        let registry = treequery_obs::metrics::global();
+    /// The snapshot as `treequery_engine_*` counters, one per field, for
+    /// a Prometheus exposition (the query service's `/metrics`).
+    pub fn samples(&self) -> Vec<MetricSnapshot> {
         let rows: [(&'static str, &'static str, u64); 14] = [
             (
-                "treequery_queries_lowered",
+                "treequery_engine_queries_lowered",
                 "Queries lowered into the IR.",
                 self.queries_lowered,
             ),
             (
-                "treequery_plans_computed",
+                "treequery_engine_plans_computed",
                 "Plans computed by the planner.",
                 self.plans_computed,
             ),
             (
-                "treequery_plan_cache_hits",
+                "treequery_engine_plan_cache_hits",
                 "Plan-cache hits.",
                 self.plan_cache_hits,
             ),
             (
-                "treequery_plan_cache_misses",
+                "treequery_engine_plan_cache_misses",
                 "Plan-cache misses.",
                 self.plan_cache_misses,
             ),
             (
-                "treequery_queries_executed",
+                "treequery_engine_queries_executed",
                 "Queries executed end to end.",
                 self.queries_executed,
             ),
             (
-                "treequery_queries_cancelled",
+                "treequery_engine_queries_cancelled",
                 "Queries aborted by cooperative cancellation.",
                 self.queries_cancelled,
             ),
             (
-                "treequery_batch_queries",
+                "treequery_engine_batch_queries",
                 "Queries submitted through eval_batch.",
                 self.batch_queries,
             ),
             (
-                "treequery_semijoin_passes",
+                "treequery_engine_semijoin_passes",
                 "Semijoin passes run by full reducers.",
                 self.semijoin_passes,
             ),
             (
-                "treequery_candidate_nodes",
+                "treequery_engine_candidate_nodes",
                 "Total size of the reduced candidate sets.",
                 self.candidate_nodes,
             ),
             (
-                "treequery_union_parts",
+                "treequery_engine_union_parts",
                 "Acyclic parts evaluated inside rewrite unions.",
                 self.union_parts,
             ),
             (
-                "treequery_nodes_swept",
-                "Nodes touched by linear sweeps.",
+                "treequery_engine_nodes_swept",
+                "Nominal |D|*|Q| bound of the linear sweeps (tree size times query size per run).",
                 self.nodes_swept,
             ),
             (
-                "treequery_backtrack_assignments",
+                "treequery_engine_backtrack_assignments",
                 "Assignments attempted by the backtracking evaluator.",
                 self.backtrack_assignments,
             ),
             (
-                "treequery_parallel_kernels",
+                "treequery_engine_parallel_kernels",
                 "Kernel invocations dispatched to the pool in chunks.",
                 self.parallel_kernels,
             ),
             (
-                "treequery_parallel_chunks",
+                "treequery_engine_parallel_chunks",
                 "Chunk tasks submitted to the worker pool.",
                 self.parallel_chunks,
             ),
         ];
-        for (name, help, value) in rows {
-            registry
-                .gauge_or_existing(name, help)
-                .set(i64::try_from(value).unwrap_or(i64::MAX));
-        }
+        rows.into_iter()
+            .map(|(name, help, value)| MetricSnapshot {
+                name,
+                help,
+                value: MetricValue::Counter(value),
+            })
+            .collect()
     }
 }
 

@@ -8,7 +8,7 @@
 //!    scratch out of the document's term rendering.
 //! 2. **Untouched trees keep their entries** — documents pooling one plan
 //!    cache do not lose entries when a *different* document is edited;
-//!    the hit-rate is asserted through the `obs::metrics` registry.
+//!    the hit-rate is asserted through the exported engine counters.
 //! 3. **Batches around edits are linearizable** — `edit` takes the
 //!    document exclusively, so every `eval_batch` observes a tree from
 //!    between two edits; batch answers equal cold sequential answers on
@@ -144,21 +144,20 @@ fn untouched_documents_keep_cache_entries_when_a_sibling_is_edited() {
     );
     assert_eq!(m.plan_cache_hits, warm.plan_cache_hits + 20);
 
-    // The hit-rate is observable through the obs metrics registry.
-    m.publish_to_registry();
-    let gathered = obs::metrics::global().gather();
-    let gauge = |name: &str| -> i64 {
-        let snap = gathered
+    // The hit-rate is exported as Prometheus counters.
+    let samples = m.samples();
+    let counter = |name: &str| -> u64 {
+        let snap = samples
             .iter()
             .find(|s| s.name == name)
-            .unwrap_or_else(|| panic!("{name} not published"));
+            .unwrap_or_else(|| panic!("{name} not exported"));
         match snap.value {
-            obs::metrics::MetricValue::Gauge(v) => v,
-            ref other => panic!("{name} is not a gauge: {other:?}"),
+            obs::metrics::MetricValue::Counter(v) => v,
+            ref other => panic!("{name} is not a counter: {other:?}"),
         }
     };
-    assert_eq!(gauge("treequery_plan_cache_misses"), 2);
-    assert!(gauge("treequery_plan_cache_hits") >= 20);
+    assert_eq!(counter("treequery_engine_plan_cache_misses"), 2);
+    assert!(counter("treequery_engine_plan_cache_hits") >= 20);
 }
 
 #[test]

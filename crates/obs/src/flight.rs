@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
+use crate::metrics::{Counter, Gauge, HistogramFamily, MetricSnapshot, Registry};
 use crate::span::SpanRecord;
 use crate::summary::span_to_json;
 
@@ -89,7 +90,7 @@ impl FlightConfig {
 }
 
 /// One completed evaluation, as captured by the flight recorder.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct QueryRecord {
     /// The monotonically increasing query id (1-based; unique per
     /// process for one installed recorder).
@@ -274,6 +275,64 @@ struct FlightState {
     next_id: AtomicU64,
     recent: TicketRing<Arc<QueryRecord>>,
     slow: TicketRing<SlowQuery>,
+    metrics: FlightMetrics,
+}
+
+/// The recorder's instruments, registered once per install in their own
+/// registry (exported by [`metrics`]).
+struct FlightMetrics {
+    registry: Registry,
+    queries: Counter,
+    slow: Counter,
+    last_id: Gauge,
+    wall: HistogramFamily,
+    stages: HistogramFamily,
+}
+
+impl FlightMetrics {
+    fn new() -> FlightMetrics {
+        let registry = Registry::new();
+        FlightMetrics {
+            queries: registry.counter(
+                "treequery_flight_queries_total",
+                "Queries captured by the flight recorder.",
+            ),
+            slow: registry.counter(
+                "treequery_flight_slow_total",
+                "Queries that exceeded the slow-query threshold.",
+            ),
+            last_id: registry.gauge(
+                "treequery_flight_last_query_id",
+                "Most recently submitted flight-recorder query id.",
+            ),
+            wall: registry.histogram_family(
+                "treequery_query_wall_ns",
+                "End-to-end query wall time by front-end.",
+                "source",
+            ),
+            stages: registry.histogram_family(
+                "treequery_stage_latency_ns",
+                "Per-stage span latency across flight-recorded queries.",
+                "stage",
+            ),
+            registry,
+        }
+    }
+
+    /// Records one submitted record: the flight counters and last-id
+    /// gauge, its wall time by source, and every span's latency by stage.
+    fn observe(&self, record: &QueryRecord, slow: bool) {
+        self.queries.inc();
+        if slow {
+            self.slow.inc();
+        }
+        self.last_id
+            .set(i64::try_from(record.id).unwrap_or(i64::MAX));
+        self.wall.with_label(&record.source).observe(record.wall_ns);
+        for span in &record.spans {
+            self.stages.with_label(span.name).observe(span.duration_ns);
+        }
+    }
 }
 
 static STATE: Mutex<Option<Arc<FlightState>>> = Mutex::new(None);
@@ -340,6 +399,7 @@ pub fn install(config: FlightConfig) {
         recent: TicketRing::new(config.capacity),
         slow: TicketRing::new(config.slow_capacity),
         next_id: AtomicU64::new(0),
+        metrics: FlightMetrics::new(),
         config,
     });
     let mut slot = STATE.lock().expect("flight state poisoned");
@@ -377,8 +437,8 @@ pub fn begin_query() -> u64 {
 }
 
 /// Submits a finished record into the recent ring (and, when
-/// `slow_detail` is given, the slow ring), and publishes the record's
-/// per-stage latencies into the global metrics registry. Spans past
+/// `slow_detail` is given, the slow ring), and counts the record in the
+/// recorder's instruments (see [`metrics`]). Spans past
 /// [`FlightConfig::max_spans_per_query`] are dropped and counted. Inside
 /// [`record_request`] the record is held back until the request ends.
 pub fn submit(record: QueryRecord, slow_detail: Option<SlowDetail>) {
@@ -397,7 +457,7 @@ pub fn submit(record: QueryRecord, slow_detail: Option<SlowDetail>) {
         record.dropped_spans += (record.spans.len() - cap) as u64;
         record.spans.truncate(cap);
     }
-    publish_metrics(&record, slow_detail.is_some());
+    state.metrics.observe(&record, slow_detail.is_some());
     let record = Arc::new(record);
     state.recent.push(Arc::clone(&record));
     if let Some(detail) = slow_detail {
@@ -450,47 +510,14 @@ pub fn annotate_response(resp_bytes: u64) {
     });
 }
 
-/// Publishes one record's observables into [`crate::metrics::global`]:
-/// per-stage latency histogram families keyed by span name, per-source
-/// wall-time histograms, and the flight counters/last-id gauge.
-fn publish_metrics(record: &QueryRecord, slow: bool) {
-    let registry = crate::metrics::global();
-    registry
-        .counter_or_existing(
-            "treequery_flight_queries_total",
-            "Queries captured by the flight recorder.",
-        )
-        .inc();
-    if slow {
-        registry
-            .counter_or_existing(
-                "treequery_flight_slow_total",
-                "Queries that exceeded the slow-query threshold.",
-            )
-            .inc();
-    }
-    registry
-        .gauge_or_existing(
-            "treequery_flight_last_query_id",
-            "Most recently submitted flight-recorder query id.",
-        )
-        .set(i64::try_from(record.id).unwrap_or(i64::MAX));
-    registry
-        .histogram_family_or_existing(
-            "treequery_query_wall_ns",
-            "End-to-end query wall time by front-end.",
-            "source",
-        )
-        .with_label(&record.source)
-        .observe(record.wall_ns);
-    let stages = registry.histogram_family_or_existing(
-        "treequery_stage_latency_ns",
-        "Per-stage span latency across flight-recorded queries.",
-        "stage",
-    );
-    for span in &record.spans {
-        stages.with_label(span.name).observe(span.duration_ns);
-    }
+/// The recorder's instruments, for the query service's `/metrics`: the
+/// `treequery_flight_*` counters and last-id gauge, per-source wall-time
+/// histograms and per-stage latency histograms. Empty when the recorder
+/// is not installed.
+pub fn metrics() -> Vec<MetricSnapshot> {
+    state()
+        .map(|s| s.metrics.registry.gather())
+        .unwrap_or_default()
 }
 
 /// The retained recent records, oldest first. Empty when the recorder
@@ -657,6 +684,37 @@ mod tests {
             Some("repro #3")
         );
         uninstall();
+    }
+
+    #[test]
+    fn metrics_count_submissions_until_uninstall() {
+        let _g = test_lock();
+        uninstall();
+        assert!(metrics().is_empty());
+        install(FlightConfig::default());
+        let mut slow = record(2);
+        slow.spans.push(span("exec.run"));
+        submit(record(1), None);
+        submit(
+            slow,
+            Some(SlowDetail {
+                explain: String::new(),
+                reproducer: String::new(),
+            }),
+        );
+        let text = crate::prom::render_snapshots(&metrics());
+        for line in [
+            "# TYPE treequery_flight_queries_total counter\ntreequery_flight_queries_total 2\n",
+            "treequery_flight_slow_total 1\n",
+            "treequery_flight_last_query_id 2\n",
+            "treequery_query_wall_ns_count{source=\"xpath\"} 2\n",
+            "treequery_stage_latency_ns_count{stage=\"exec.run\"} 1\n",
+        ] {
+            assert!(text.contains(line), "{line:?} missing from:\n{text}");
+        }
+        crate::prom::validate_exposition(&text).expect("flight metrics validate");
+        uninstall();
+        assert!(metrics().is_empty());
     }
 
     fn span(name: &'static str) -> SpanRecord {

@@ -2,14 +2,15 @@
 //! histogram families over the span layer's 64-bucket
 //! [`LatencyHistogram`].
 //!
-//! The executor's original `Metrics` struct is a fixed block of atomics —
-//! fine for the pipeline's own counters, but every new observable meant
-//! another hand-written field, snapshot entry, and JSON line. New
-//! metrics now register here instead: a [`Registry`] owns named
-//! instruments, hands out cheap cloneable handles ([`Counter`],
-//! [`Gauge`], [`HistogramFamily`]), and [`gather`](Registry::gather)s a
-//! point-in-time snapshot that `obs::prom` renders in the Prometheus
-//! text exposition format (`harness --serve-metrics`).
+//! A [`Registry`] owns named instruments, hands out cheap cloneable
+//! handles ([`Counter`], [`Gauge`], [`HistogramFamily`]), and
+//! [`gather`](Registry::gather)s a point-in-time list of
+//! [`MetricSnapshot`]s. Components that keep their own state (the
+//! engine's counter block, the SLO tracker) build the same snapshot
+//! type at scrape time instead of mirroring it into a registry; the
+//! query service concatenates every source into one list and renders it
+//! with `obs::prom::render_snapshots` (its `/metrics` endpoint and
+//! `metrics` verb).
 //!
 //! Names must match the Prometheus charset
 //! (`[a-zA-Z_:][a-zA-Z0-9_:]*`); registration panics otherwise, so a bad
@@ -17,7 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::histogram::LatencyHistogram;
 
@@ -103,29 +104,6 @@ impl CounterFamily {
     }
 }
 
-/// A family of gauges distinguished by one label's values — what the
-/// SLO tracker uses for per-cost-class attainment and burn rates
-/// (`treequery_slo_fast_burn_ppm{class="linear"}`, …). Cells are created
-/// on first use and render as one sample line per label value.
-#[derive(Clone, Debug)]
-pub struct GaugeFamily {
-    label: &'static str,
-    cells: Arc<Mutex<BTreeMap<String, Gauge>>>,
-}
-
-impl GaugeFamily {
-    /// The gauge for one label value, created on first use.
-    pub fn with_label(&self, value: &str) -> Gauge {
-        let mut cells = self.cells.lock().expect("gauge family poisoned");
-        cells.entry(value.to_owned()).or_default().clone()
-    }
-
-    /// The label name.
-    pub fn label_name(&self) -> &'static str {
-        self.label
-    }
-}
-
 /// A family of histograms distinguished by label values (one label name,
 /// the common case: `stage`, `strategy`, …).
 #[derive(Clone, Debug)]
@@ -159,7 +137,8 @@ pub enum MetricValue {
     Gauge(i64),
     /// `(label value, count)` rows of a counter family, label-sorted.
     Counters(&'static str, Vec<(String, u64)>),
-    /// `(label value, value)` rows of a gauge family, label-sorted.
+    /// `(label value, value)` rows of gauges keyed by one label, built at
+    /// scrape time (the SLO gauges), label-sorted.
     Gauges(&'static str, Vec<(String, i64)>),
     /// `(label value, histogram)` rows of a family, label-sorted.
     Histograms(&'static str, Vec<(String, LatencyHistogram)>),
@@ -180,7 +159,6 @@ enum Instrument {
     Counter(Counter),
     Gauge(Gauge),
     CounterFamily(CounterFamily),
-    GaugeFamily(GaugeFamily),
     Family(HistogramFamily),
 }
 
@@ -190,8 +168,8 @@ struct Registered {
     instrument: Instrument,
 }
 
-/// A collection of named instruments. Most code uses the process-wide
-/// [`global`] registry; tests construct their own.
+/// A collection of named instruments. Each owner constructs its own: the
+/// query service one per server, the flight recorder one per install.
 #[derive(Default)]
 pub struct Registry {
     metrics: Mutex<Vec<Registered>>,
@@ -256,22 +234,6 @@ impl Registry {
         f
     }
 
-    /// Registers and returns a gauge family keyed by one label.
-    pub fn gauge_family(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        label: &'static str,
-    ) -> GaugeFamily {
-        assert!(valid_name(label), "invalid label name {label:?}");
-        let f = GaugeFamily {
-            label,
-            cells: Arc::new(Mutex::new(BTreeMap::new())),
-        };
-        self.register(name, help, Instrument::GaugeFamily(f.clone()));
-        f
-    }
-
     /// Registers and returns a histogram family keyed by one label.
     pub fn histogram_family(
         &self,
@@ -307,13 +269,6 @@ impl Registry {
                             cells.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
                         )
                     }
-                    Instrument::GaugeFamily(f) => {
-                        let cells = f.cells.lock().expect("gauge family poisoned");
-                        MetricValue::Gauges(
-                            f.label,
-                            cells.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
-                        )
-                    }
                     Instrument::Family(f) => {
                         let cells = f.cells.lock().expect("histogram family poisoned");
                         MetricValue::Histograms(
@@ -328,105 +283,6 @@ impl Registry {
             })
             .collect()
     }
-
-    /// Looks up an already-registered counter by name, or registers it.
-    /// The idempotent form for call sites that can run more than once
-    /// (experiment loops, repeated harness runs in one process).
-    pub fn counter_or_existing(&self, name: &'static str, help: &'static str) -> Counter {
-        {
-            let metrics = self.metrics.lock().expect("registry poisoned");
-            if let Some(m) = metrics.iter().find(|m| m.name == name) {
-                if let Instrument::Counter(c) = &m.instrument {
-                    return c.clone();
-                }
-                panic!("metric {name:?} already registered with a different type");
-            }
-        }
-        self.counter(name, help)
-    }
-
-    /// Looks up an already-registered gauge by name, or registers it.
-    pub fn gauge_or_existing(&self, name: &'static str, help: &'static str) -> Gauge {
-        {
-            let metrics = self.metrics.lock().expect("registry poisoned");
-            if let Some(m) = metrics.iter().find(|m| m.name == name) {
-                if let Instrument::Gauge(g) = &m.instrument {
-                    return g.clone();
-                }
-                panic!("metric {name:?} already registered with a different type");
-            }
-        }
-        self.gauge(name, help)
-    }
-
-    /// Looks up an already-registered counter family by name, or
-    /// registers it.
-    pub fn counter_family_or_existing(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        label: &'static str,
-    ) -> CounterFamily {
-        {
-            let metrics = self.metrics.lock().expect("registry poisoned");
-            if let Some(m) = metrics.iter().find(|m| m.name == name) {
-                if let Instrument::CounterFamily(f) = &m.instrument {
-                    assert_eq!(f.label, label, "metric {name:?} label mismatch");
-                    return f.clone();
-                }
-                panic!("metric {name:?} already registered with a different type");
-            }
-        }
-        self.counter_family(name, help, label)
-    }
-
-    /// Looks up an already-registered gauge family by name, or registers
-    /// it.
-    pub fn gauge_family_or_existing(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        label: &'static str,
-    ) -> GaugeFamily {
-        {
-            let metrics = self.metrics.lock().expect("registry poisoned");
-            if let Some(m) = metrics.iter().find(|m| m.name == name) {
-                if let Instrument::GaugeFamily(f) = &m.instrument {
-                    assert_eq!(f.label, label, "metric {name:?} label mismatch");
-                    return f.clone();
-                }
-                panic!("metric {name:?} already registered with a different type");
-            }
-        }
-        self.gauge_family(name, help, label)
-    }
-
-    /// Looks up an already-registered histogram family by name, or
-    /// registers it.
-    pub fn histogram_family_or_existing(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        label: &'static str,
-    ) -> HistogramFamily {
-        {
-            let metrics = self.metrics.lock().expect("registry poisoned");
-            if let Some(m) = metrics.iter().find(|m| m.name == name) {
-                if let Instrument::Family(f) = &m.instrument {
-                    assert_eq!(f.label, label, "metric {name:?} label mismatch");
-                    return f.clone();
-                }
-                panic!("metric {name:?} already registered with a different type");
-            }
-        }
-        self.histogram_family(name, help, label)
-    }
-}
-
-/// The process-wide registry (what `--serve-metrics` exposes).
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 #[cfg(test)]
@@ -466,41 +322,6 @@ mod tests {
         assert_eq!(rows[0].0, "exec.run");
         assert_eq!(rows[0].1.count(), 2);
         assert_eq!(rows[1].1.count(), 1);
-    }
-
-    #[test]
-    fn gauge_families_key_by_label_value_and_move_both_ways() {
-        let r = Registry::new();
-        let f = r.gauge_family("test_burn_ppm", "burn rate", "class");
-        f.with_label("linear").set(250_000);
-        f.with_label("exponential").set(4_000_000);
-        f.with_label("linear").add(-50_000);
-        let snap = r.gather();
-        let MetricValue::Gauges(label, rows) = &snap[0].value else {
-            panic!("expected gauges");
-        };
-        assert_eq!(*label, "class");
-        assert_eq!(
-            rows,
-            &vec![
-                ("exponential".to_owned(), 4_000_000),
-                ("linear".to_owned(), 200_000)
-            ]
-        );
-        let again = r.gauge_family_or_existing("test_burn_ppm", "burn rate", "class");
-        again.with_label("linear").set(7);
-        assert_eq!(f.with_label("linear").get(), 7);
-    }
-
-    #[test]
-    fn or_existing_is_idempotent() {
-        let r = Registry::new();
-        let a = r.counter_or_existing("twice_total", "h");
-        let b = r.counter_or_existing("twice_total", "h");
-        a.inc();
-        b.inc();
-        assert_eq!(a.get(), 2);
-        assert_eq!(r.gather().len(), 1);
     }
 
     #[test]

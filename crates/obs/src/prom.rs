@@ -1,12 +1,14 @@
 //! Prometheus text exposition format (version 0.0.4) for the metrics
 //! registry.
 //!
-//! [`render_registry`] turns a [`crate::metrics::Registry`] gather into the `text/plain; version=0.0.4` wire format: `# HELP` /
-//! `# TYPE` preamble per metric, one sample line per value, and for
-//! histograms the cumulative `le`-labeled bucket series plus `_sum` and
-//! `_count`. The output is deterministic (registration order for
-//! metrics, lexicographic label order within a family), which is what
-//! makes the golden test possible.
+//! [`render_snapshots`] turns one list of [`MetricSnapshot`]s (a
+//! [`crate::metrics::Registry`] gather, or several sources concatenated)
+//! into the `text/plain; version=0.0.4` wire format: `# HELP` / `# TYPE`
+//! preamble per metric, one sample line per value, and for histograms
+//! the cumulative `le`-labeled bucket series plus `_sum` and `_count`.
+//! The output is deterministic (list order for metrics, lexicographic
+//! label order within a family), which is what makes the golden test
+//! possible.
 //!
 //! Our histograms bucket by powers of two, so the rendered `le` bounds
 //! are `1, 2, 4, …` up to the highest non-empty bucket, then `+Inf`.
@@ -105,11 +107,6 @@ pub fn render_snapshots(snapshots: &[MetricSnapshot]) -> String {
     out
 }
 
-/// Renders a whole registry: `render_snapshots(&registry.gather())`.
-pub fn render_registry(registry: &Registry) -> String {
-    render_snapshots(&registry.gather())
-}
-
 /// Renders only the instruments whose name starts with `prefix` — the
 /// focused expositions behind the query service's `/tenants`
 /// (`treequery_tenant_`) and `/slo` (`treequery_slo_`) endpoints.
@@ -177,11 +174,13 @@ fn validate_labels(s: &str) -> Result<(), String> {
 }
 
 /// Validates Prometheus text exposition (version 0.0.4): `# HELP` /
-/// `# TYPE` preamble lines and `name[{labels}] value` samples. Returns
-/// the number of sample lines. This is the committed parser the CI
-/// endpoint gate round-trips `/metrics` scrapes through.
+/// `# TYPE` preamble lines and `name[{labels}] value` samples, with at
+/// most one `# TYPE` line per metric name. Returns the number of sample
+/// lines. This is the committed parser the CI observatory gate
+/// round-trips `/metrics` scrapes through.
 pub fn validate_exposition(text: &str) -> Result<usize, String> {
     let mut samples = 0usize;
+    let mut typed: Vec<&str> = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         let n = idx + 1;
         if line.is_empty() {
@@ -196,6 +195,10 @@ pub fn validate_exposition(text: &str) -> Result<usize, String> {
                 if !valid_metric_name(name) {
                     return Err(format!("line {n}: invalid metric name in TYPE: {name:?}"));
                 }
+                if typed.contains(&name) {
+                    return Err(format!("line {n}: metric {name:?} typed twice"));
+                }
+                typed.push(name);
                 if !matches!(
                     kind,
                     "counter" | "gauge" | "histogram" | "summary" | "untyped"
@@ -297,7 +300,7 @@ treequery_stage_ns_bucket{stage=\"exec.sweep\",le=\"+Inf\"} 1
 treequery_stage_ns_sum{stage=\"exec.sweep\"} 9
 treequery_stage_ns_count{stage=\"exec.sweep\"} 1
 ";
-        assert_eq!(render_registry(&r), expected);
+        assert_eq!(render_snapshots(&r.gather()), expected);
     }
 
     #[test]
@@ -306,7 +309,7 @@ treequery_stage_ns_count{stage=\"exec.sweep\"} 1
         let f = r.counter_family("treequery_serve_requests", "Requests by verb.", "verb");
         f.with_label("query").add(3);
         f.with_label("edit").inc();
-        let text = render_registry(&r);
+        let text = render_snapshots(&r.gather());
         assert!(text.contains("# TYPE treequery_serve_requests counter"));
         assert!(text.contains("treequery_serve_requests{verb=\"edit\"} 1\n"));
         assert!(text.contains("treequery_serve_requests{verb=\"query\"} 3\n"));
@@ -317,7 +320,7 @@ treequery_stage_ns_count{stage=\"exec.sweep\"} 1
     fn empty_family_renders_preamble_only() {
         let r = Registry::new();
         r.histogram_family("treequery_idle_ns", "never observed", "stage");
-        let text = render_registry(&r);
+        let text = render_snapshots(&r.gather());
         assert!(text.contains("# TYPE treequery_idle_ns histogram"));
         assert!(!text.contains("_bucket"));
     }
@@ -327,7 +330,7 @@ treequery_stage_ns_count{stage=\"exec.sweep\"} 1
         let r = Registry::new();
         let f = r.histogram_family("treequery_esc_ns", "", "q");
         f.with_label("a\"b\\c").observe(1);
-        let text = render_registry(&r);
+        let text = render_snapshots(&r.gather());
         assert!(text.contains("q=\"a\\\"b\\\\c\""), "got: {text}");
     }
 
@@ -338,7 +341,7 @@ treequery_stage_ns_count{stage=\"exec.sweep\"} 1
         r.gauge("treequery_depth", "fine").set(-2);
         let f = r.histogram_family("treequery_lat_ns", "fine", "stage");
         f.with_label("exec.sweep\"x").observe(7);
-        let text = render_registry(&r);
+        let text = render_snapshots(&r.gather());
         let samples = validate_exposition(&text).unwrap();
         let sample_lines = text.lines().filter(|l| !l.starts_with('#')).count();
         assert_eq!(samples, sample_lines);
@@ -347,8 +350,8 @@ treequery_stage_ns_count{stage=\"exec.sweep\"} 1
 
     /// Tenant names are user-controlled strings flowing into label
     /// values, so the escape path is load-bearing: every escapable
-    /// character must survive `CounterFamily`/`GaugeFamily`/
-    /// `HistogramFamily` → render → `validate_exposition` intact.
+    /// character must survive counter, gauge and histogram families →
+    /// render → `validate_exposition` intact.
     #[test]
     fn hostile_label_values_round_trip_every_family_kind() {
         let hostile = "quote\" back\\slash new\nline";
@@ -356,13 +359,16 @@ treequery_stage_ns_count{stage=\"exec.sweep\"} 1
         r.counter_family("treequery_esc_requests", "by tenant", "tenant")
             .with_label(hostile)
             .add(2);
-        r.gauge_family("treequery_esc_burn", "by tenant", "tenant")
-            .with_label(hostile)
-            .set(-5);
         r.histogram_family("treequery_esc_lat_ns", "by tenant", "tenant")
             .with_label(hostile)
             .observe(3);
-        let text = render_registry(&r);
+        let mut snapshots = r.gather();
+        snapshots.push(MetricSnapshot {
+            name: "treequery_esc_burn",
+            help: "by tenant",
+            value: MetricValue::Gauges("tenant", vec![(hostile.to_owned(), -5)]),
+        });
+        let text = render_snapshots(&snapshots);
         // Rendered escapes, per the exposition spec.
         let escaped = "tenant=\"quote\\\" back\\\\slash new\\nline\"";
         assert!(
@@ -391,7 +397,7 @@ treequery_stage_ns_count{stage=\"exec.sweep\"} 1
             r.counter_family("treequery_esc_one", "", "tenant")
                 .with_label(raw)
                 .inc();
-            let text = render_registry(&r);
+            let text = render_snapshots(&r.gather());
             assert!(
                 text.contains(&format!("treequery_esc_one{{tenant=\"{escaped}\"}} 1\n")),
                 "raw {raw:?} rendered: {text}"
@@ -418,6 +424,7 @@ treequery_stage_ns_count{stage=\"exec.sweep\"} 1
         assert!(validate_exposition("m{l=\"v\"} notanumber\n").is_err());
         assert!(validate_exposition("# TYPE m rocket\n").is_err());
         assert!(validate_exposition("m 1 2 3\n").is_err());
+        assert!(validate_exposition("# TYPE m counter\nm 1\n# TYPE m counter\nm 2\n").is_err());
         assert_eq!(validate_exposition("m{l=\"a\\\"b\"} +Inf\n").unwrap(), 1);
         assert_eq!(validate_exposition("").unwrap(), 0);
     }
@@ -426,7 +433,7 @@ treequery_stage_ns_count{stage=\"exec.sweep\"} 1
     fn help_newlines_are_escaped() {
         let r = Registry::new();
         r.counter("treequery_nl_total", "line one\nline two");
-        let text = render_registry(&r);
+        let text = render_snapshots(&r.gather());
         assert!(text.contains("# HELP treequery_nl_total line one\\nline two\n"));
     }
 }

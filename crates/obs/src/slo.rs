@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::metrics::Registry;
+use crate::metrics::{MetricSnapshot, MetricValue};
 use crate::Json;
 
 /// The time source for window bucketing. Injectable so tests drive the
@@ -339,46 +339,48 @@ impl SloTracker {
         )
     }
 
-    /// Publishes the current report into `registry` as five
-    /// class-labeled gauge families (`treequery_slo_*`). Idempotent:
-    /// re-registers nothing on repeat calls.
-    pub fn publish(&self, registry: &Registry) {
-        let fast_att = registry.gauge_family_or_existing(
-            "treequery_slo_fast_attainment_ppm",
-            "Fast-window SLO attainment per cost class, parts-per-million.",
-            "class",
-        );
-        let slow_att = registry.gauge_family_or_existing(
-            "treequery_slo_slow_attainment_ppm",
-            "Slow-window SLO attainment per cost class, parts-per-million.",
-            "class",
-        );
-        let fast_burn = registry.gauge_family_or_existing(
-            "treequery_slo_fast_burn_ppm",
-            "Fast-window error-budget burn rate per cost class (1000000 = at budget).",
-            "class",
-        );
-        let slow_burn = registry.gauge_family_or_existing(
-            "treequery_slo_slow_burn_ppm",
-            "Slow-window error-budget burn rate per cost class (1000000 = at budget).",
-            "class",
-        );
-        let breached = registry.gauge_family_or_existing(
-            "treequery_slo_breached",
-            "Whether both burn-rate windows are over budget (1 = breached).",
-            "class",
-        );
-        for r in self.report() {
-            fast_att
-                .with_label(&r.class)
-                .set(r.fast.attainment_ppm as i64);
-            slow_att
-                .with_label(&r.class)
-                .set(r.slow.attainment_ppm as i64);
-            fast_burn.with_label(&r.class).set(r.fast.burn_ppm as i64);
-            slow_burn.with_label(&r.class).set(r.slow.burn_ppm as i64);
-            breached.with_label(&r.class).set(r.breached as i64);
-        }
+    /// The current report as five class-labeled gauge families
+    /// (`treequery_slo_*`), built at scrape time.
+    pub fn samples(&self) -> Vec<MetricSnapshot> {
+        let report = self.report();
+        let family = |name, help, value: fn(&SloReport) -> u64| MetricSnapshot {
+            name,
+            help,
+            value: MetricValue::Gauges(
+                "class",
+                report
+                    .iter()
+                    .map(|r| (r.class.clone(), value(r) as i64))
+                    .collect(),
+            ),
+        };
+        vec![
+            family(
+                "treequery_slo_fast_attainment_ppm",
+                "Fast-window SLO attainment per cost class, parts-per-million.",
+                |r| r.fast.attainment_ppm,
+            ),
+            family(
+                "treequery_slo_slow_attainment_ppm",
+                "Slow-window SLO attainment per cost class, parts-per-million.",
+                |r| r.slow.attainment_ppm,
+            ),
+            family(
+                "treequery_slo_fast_burn_ppm",
+                "Fast-window error-budget burn rate per cost class (1000000 = at budget).",
+                |r| r.fast.burn_ppm,
+            ),
+            family(
+                "treequery_slo_slow_burn_ppm",
+                "Slow-window error-budget burn rate per cost class (1000000 = at budget).",
+                |r| r.slow.burn_ppm,
+            ),
+            family(
+                "treequery_slo_breached",
+                "Whether both burn-rate windows are over budget (1 = breached).",
+                |r| r.breached as u64,
+            ),
+        ]
     }
 }
 
@@ -508,17 +510,14 @@ mod tests {
     }
 
     #[test]
-    fn publish_exposes_class_labeled_gauges() {
+    fn samples_expose_class_labeled_gauges() {
         let clock = Arc::new(ManualClock::new(0));
         let t = tracker(Arc::clone(&clock));
         for _ in 0..9 {
             t.observe("linear", MS);
         }
         t.observe("linear", 500 * MS);
-        let r = Registry::new();
-        t.publish(&r);
-        t.publish(&r); // idempotent re-publish
-        let text = crate::prom::render_prefixed(&r, "treequery_slo_");
+        let text = crate::prom::render_snapshots(&t.samples());
         assert!(
             text.contains("treequery_slo_fast_attainment_ppm{class=\"linear\"} 900000\n"),
             "{text}"

@@ -63,11 +63,11 @@ impl Admission {
             cap: cap.max(1),
             in_flight: Mutex::new(0),
             freed: Condvar::new(),
-            queued: registry.counter_or_existing(
+            queued: registry.counter(
                 "treequery_admission_queued",
                 "Heavy-lane queries that waited for an admission slot.",
             ),
-            rejected: registry.counter_or_existing(
+            rejected: registry.counter(
                 "treequery_admission_rejected",
                 "Heavy-lane queries rejected after the admission wait timed out.",
             ),

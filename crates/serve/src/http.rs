@@ -2,11 +2,13 @@
 //! tenant and SLO state to scrapers, next to the line-JSON protocol
 //! port.
 //!
-//! Five read-only endpoints: `/metrics` (the full per-server
-//! exposition), `/tenants` (the `treequery_tenant_*` families only),
-//! `/slo` (the `treequery_slo_*` gauges, published at scrape time),
-//! and `/flight` + `/slow` (the process-global flight recorder, when
-//! installed). One thread, one connection at a time — scrapers poll on
+//! This is the process's only HTTP observatory. Five read-only
+//! endpoints: `/metrics` (the full exposition: serve, admission and
+//! tenant instruments, engine counters, SLO gauges and, when installed,
+//! the flight recorder's instruments), `/tenants` (the
+//! `treequery_tenant_*` families only), `/slo` (the `treequery_slo_*`
+//! gauges, built at scrape time), and `/flight` + `/slow` (the
+//! process-global flight recorder, when installed). One thread, one connection at a time — scrapers poll on
 //! the order of seconds, and keeping it boring means the observatory
 //! can never contend with the query path.
 //!
@@ -22,8 +24,9 @@ use treequery_obs::{flight, prom};
 
 use crate::server::Shared;
 
-/// Routes one request target to `(status, reason, content-type, body)`.
-/// Pure — the unit tests drive it without sockets.
+/// Routes one request target to `(status, content-type, body)` on its
+/// path; a query string (`/flight?limit=5`) is ignored. Pure — the unit
+/// tests drive it without sockets.
 pub(crate) fn respond(shared: &Shared, method: &str, target: &str) -> (u16, &'static str, String) {
     if method != "GET" {
         return (
@@ -32,7 +35,8 @@ pub(crate) fn respond(shared: &Shared, method: &str, target: &str) -> (u16, &'st
             "only GET is supported\n".to_owned(),
         );
     }
-    match target {
+    let path = target.split('?').next().unwrap_or(target);
+    match path {
         "/" => (
             200,
             "text/plain; charset=utf-8",
@@ -50,7 +54,7 @@ pub(crate) fn respond(shared: &Shared, method: &str, target: &str) -> (u16, &'st
         _ => (
             404,
             "text/plain; charset=utf-8",
-            format!("no such endpoint {target}\n"),
+            format!("no such endpoint {path}\n"),
         ),
     }
 }
@@ -154,6 +158,10 @@ mod tests {
         assert!(body.contains("treequery_slo_fast_burn_ppm"), "{body}");
         let (status, _, _) = respond(&s, "GET", "/flight");
         assert_eq!(status, 200);
+        let (status, _, _) = respond(&s, "GET", "/flight?limit=5");
+        assert_eq!(status, 200);
+        let (status, ct, _) = respond(&s, "GET", "/metrics?x=1");
+        assert_eq!((status, ct), (200, prom::CONTENT_TYPE));
         let (status, _, _) = respond(&s, "GET", "/nope");
         assert_eq!(status, 404);
         let (status, _, _) = respond(&s, "POST", "/metrics");

@@ -18,9 +18,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use treequery_core::EngineConfig;
-use treequery_obs::metrics::{Counter, CounterFamily, Gauge, Registry};
-use treequery_obs::prom;
+use treequery_obs::metrics::{
+    Counter, CounterFamily, Gauge, MetricSnapshot, MetricValue, Registry,
+};
 use treequery_obs::slo::{MonotonicClock, Objective, SloConfig, SloTracker};
+use treequery_obs::{flight, prom};
 use treequery_tree::CancelToken;
 
 use crate::admission::Admission;
@@ -315,53 +317,28 @@ impl Shared {
         prom::render_prefixed(&self.registry, "treequery_tenant_")
     }
 
-    /// Publishes the SLO gauges from the tracker's current windows and
-    /// renders exactly the `treequery_slo_*` families.
+    /// Renders exactly the `treequery_slo_*` gauges, built from the
+    /// tracker's current windows.
     pub fn render_slo_exposition(&self) -> String {
-        self.slo.publish(&self.registry);
-        prom::render_prefixed(&self.registry, "treequery_slo_")
+        prom::render_snapshots(&self.slo.samples())
     }
 
-    /// Renders the Prometheus exposition for this server: the serve,
-    /// admission, tenant, and SLO instruments plus a scrape-time
-    /// snapshot of the shared engine counters (every document pools one
-    /// metrics block).
+    /// Renders the Prometheus exposition for this server, one scrape of
+    /// four sources: the serve, admission and tenant instruments; the
+    /// shared engine counters (every document pools one metrics block)
+    /// plus the pooled plan-cache size; the SLO gauges; and the flight
+    /// recorder's instruments when it is installed.
     pub fn render_metrics(&self) -> String {
-        self.slo.publish(&self.registry);
-        let snap = self.catalog.metrics().snapshot();
-        let rows: [(&'static str, &'static str, u64); 5] = [
-            (
-                "treequery_engine_queries_executed",
-                "Queries run end to end by this server's engines.",
-                snap.queries_executed,
-            ),
-            (
-                "treequery_engine_queries_cancelled",
-                "Queries aborted by cooperative cancellation.",
-                snap.queries_cancelled,
-            ),
-            (
-                "treequery_engine_plan_cache_hits",
-                "Plan-cache hits across the pooled cache.",
-                snap.plan_cache_hits,
-            ),
-            (
-                "treequery_engine_plan_cache_misses",
-                "Plan-cache misses across the pooled cache.",
-                snap.plan_cache_misses,
-            ),
-            (
-                "treequery_engine_plans_cached",
-                "Entries in the pooled plan cache right now.",
-                self.catalog.plan_cache().len() as u64,
-            ),
-        ];
-        for (name, help, value) in rows {
-            self.registry
-                .gauge_or_existing(name, help)
-                .set(value as i64);
-        }
-        prom::render_registry(&self.registry)
+        let mut samples = self.registry.gather();
+        samples.extend(self.catalog.metrics().snapshot().samples());
+        samples.push(MetricSnapshot {
+            name: "treequery_engine_plans_cached",
+            help: "Entries in the pooled plan cache right now.",
+            value: MetricValue::Gauge(self.catalog.plan_cache().len() as i64),
+        });
+        samples.extend(self.slo.samples());
+        samples.extend(flight::metrics());
+        prom::render_snapshots(&samples)
     }
 }
 

@@ -186,6 +186,30 @@ fn metrics_verb_returns_valid_exposition_with_per_verb_counters() {
         text.contains("treequery_engine_queries_executed 1"),
         "{text}"
     );
+    // Every engine counter is exported, typed as a counter.
+    for counter in [
+        "queries_lowered",
+        "plans_computed",
+        "plan_cache_hits",
+        "plan_cache_misses",
+        "queries_executed",
+        "queries_cancelled",
+        "batch_queries",
+        "semijoin_passes",
+        "candidate_nodes",
+        "union_parts",
+        "nodes_swept",
+        "backtrack_assignments",
+        "parallel_kernels",
+        "parallel_chunks",
+    ] {
+        let type_line = format!("# TYPE treequery_engine_{counter} counter\n");
+        assert!(text.contains(&type_line), "{type_line:?} missing:\n{text}");
+    }
+    assert!(
+        text.contains("# TYPE treequery_engine_plans_cached gauge\n"),
+        "{text}"
+    );
     server.shutdown().unwrap();
 }
 

@@ -285,7 +285,25 @@ fn flight_records_join_tenant_trace_and_response() {
         .into_iter()
         .find(|r| r.trace_id == "tr-flight-1")
         .expect("flight record for tr-flight-1");
+    // The service's one exposition carries the flight recorder's
+    // instruments next to its own, each metric exactly once.
+    let text = server.shared().render_metrics();
     flight::uninstall();
+    prom::validate_exposition(&text).expect("valid exposition");
+    assert!(text.contains("treequery_flight_queries_total"), "{text}");
+    assert!(
+        text.contains("treequery_stage_latency_ns_bucket{stage=\"exec.run\","),
+        "{text}"
+    );
+    let mut names: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split(' ').next())
+        .collect();
+    let total = names.len();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), total, "a metric name repeats:\n{text}");
 
     assert_eq!(record.tenant, "gamma");
     assert!(record.resp_bytes > 0, "resp_bytes annotated");

@@ -133,4 +133,24 @@ cargo run -p treequery-bench --release --bin harness -q -- \
     serve-client "$TENANT_PORT" crates/serve/transcripts/ci_drain.jsonl
 wait "$TENANT_PID"
 
+echo "==> end-to-end wire gate (perfbench bulk: answer oracle + no delayed-ACK stall)"
+# Two seconds of the benchmark's bulk workload (2,000-8,000-row answers,
+# 12-50 KiB replies) against a freshly started server. Every answer must
+# match the benchmark's in-process oracle, and the median query round
+# trip must stay under 10 ms: a reply split over two writes waits out the
+# client's ~40 ms delayed-ACK timer, while one write per reply answers in
+# well under 1 ms, so the bound is far from both. perfbench builds into
+# the workspace's own release target here.
+BULK="$(CARGO_TARGET_DIR=target python3 perfbench/run.py --workload bulk --seed 1 --seconds 2 | tail -n 1)"
+python3 - "$BULK" <<'PY'
+import json
+import sys
+
+result = json.loads(sys.argv[1])
+p50 = result["metrics"]["query_p50_us"]["value"]
+print(f"    failed {result['failed']}, bulk query_p50_us {p50:.0f}")
+if result["failed"] != 0 or p50 >= 10_000:
+    sys.exit("perfbench bulk: answers failed the oracle or replies stalled")
+PY
+
 echo "CI OK"

@@ -5,6 +5,14 @@
 //! `explain_analyze().to_json()`) hand-roll their JSON through this small
 //! value type instead of depending on `serde`.
 
+use std::io::Write;
+
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, and the query service parses every frame a
+/// client sends with it, so an unbounded depth would let one line of
+/// `[` bytes overflow a session thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value. Object keys keep insertion order (reports stay diffable
 /// across runs).
 #[derive(Clone, Debug, PartialEq)]
@@ -94,47 +102,55 @@ impl Json {
 
     /// Renders to a compact JSON string.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
+        let mut out = Vec::new();
+        self.write_to(&mut out);
+        String::from_utf8(out).expect("rendered JSON is UTF-8")
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact rendering to `out`: the one writer behind
+    /// [`Json::render`], usable on a caller's reusable byte buffer.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(v) => out.push_str(&v.to_string()),
-            Json::I64(v) => out.push_str(&v.to_string()),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+            Json::U64(v) => write_u64(out, *v),
+            Json::I64(v) => {
+                if *v < 0 {
+                    out.push(b'-');
+                }
+                write_u64(out, v.unsigned_abs());
+            }
             Json::F64(v) => {
                 if v.is_finite() {
-                    // `{:?}` prints shortest-round-trip floats.
-                    out.push_str(&format!("{v:?}"));
+                    // `{:?}` prints shortest-round-trip floats; writing to
+                    // a Vec cannot fail.
+                    let _ = write!(out, "{v:?}");
                 } else {
-                    out.push_str("null");
+                    out.extend_from_slice(b"null");
                 }
             }
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    item.write(out);
+                    item.write_to(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(fields) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
+                    out.push(b':');
+                    v.write_to(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
@@ -186,20 +202,43 @@ impl From<Vec<Json>> for Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends `v` in decimal without allocating: the one integer formatter
+/// behind every rendered number, the query service's answer rows included.
+pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.extend_from_slice(&digits[i..]);
+}
+
+fn write_escaped(s: &str, out: &mut Vec<u8>) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push(b'"');
+    // Byte-wise is char-wise here: every byte of a multi-byte UTF-8
+    // sequence is >= 0x80 and passes through untouched.
+    for &b in s.as_bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            0..=0x1f => {
+                out.extend_from_slice(b"\\u00");
+                out.push(HEX[usize::from(b >> 4)]);
+                out.push(HEX[usize::from(b & 0xf)]);
+            }
+            b => out.push(b),
+        }
+    }
+    out.push(b'"');
 }
 
 /// A parse failure, with the byte offset it occurred at.
@@ -209,6 +248,17 @@ pub struct JsonParseError {
     pub offset: usize,
     /// What went wrong.
     pub message: String,
+    /// Which kind of failure this is.
+    pub kind: JsonErrorKind,
+}
+
+/// The kinds of [`JsonParseError`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The input is not one well-formed JSON value.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl std::fmt::Display for JsonParseError {
@@ -229,6 +279,7 @@ pub fn parse_json(input: &str) -> Result<Json, JsonParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -242,6 +293,8 @@ pub fn parse_json(input: &str) -> Result<Json, JsonParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -249,6 +302,7 @@ impl Parser<'_> {
         JsonParseError {
             offset: self.pos,
             message: message.to_owned(),
+            kind: JsonErrorKind::Syntax,
         }
     }
 
@@ -290,8 +344,22 @@ impl Parser<'_> {
             Some(b't') => self.eat_literal("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat_literal("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonParseError {
+                        kind: JsonErrorKind::TooDeep,
+                        ..self.err(&format!("nesting deeper than {MAX_DEPTH} levels"))
+                    });
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -481,6 +549,39 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "\"unterminated", "1 2", "nul"] {
             assert!(parse_json(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_distinct_error() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse_json(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse_json(&nested("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        for deep in [
+            nested("[", "]", MAX_DEPTH + 1),
+            nested("{\"a\":", "}", MAX_DEPTH + 1),
+            "[".repeat(500_000),
+        ] {
+            let err = parse_json(&deep).unwrap_err();
+            assert_eq!(err.kind, JsonErrorKind::TooDeep, "{err}");
+        }
+        assert_eq!(parse_json("[1,]").unwrap_err().kind, JsonErrorKind::Syntax);
+    }
+
+    #[test]
+    fn integers_render_at_their_extremes() {
+        for v in [0, 7, 10, 99, 100, 4_294_967_295, u64::MAX] {
+            let mut out = Vec::new();
+            write_u64(&mut out, v);
+            assert_eq!(out, v.to_string().into_bytes());
+        }
+        for v in [i64::MIN, -1, 0, i64::MAX] {
+            assert_eq!(Json::I64(v).render(), v.to_string());
+        }
+        assert_eq!(Json::F64(0.1).render(), "0.1");
+        assert_eq!(Json::F64(f64::NAN).render(), "null");
+        assert_eq!(Json::from("\u{1}é\u{1f}").render(), "\"\\u0001é\\u001f\"");
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod traceexport;
 
 pub use capture::{capture, CaptureHandle, Captured};
 pub use histogram::{HistogramSummary, LatencyHistogram, HISTOGRAM_BUCKETS};
-pub use json::{parse_json, Json, JsonParseError};
+pub use json::{parse_json, write_u64, Json, JsonErrorKind, JsonParseError, MAX_DEPTH};
 pub use span::{span, Field, FieldValue, Span, SpanRecord};
 pub use summary::{summarize_spans, SpanSummary};
 

@@ -30,7 +30,7 @@
 //!   on any format error.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -49,7 +49,7 @@ pub struct ReplayReport {
 
 struct Conn {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     /// Responses sent by the server but not yet read (`_async` sends).
     pending: usize,
 }
@@ -68,19 +68,25 @@ impl Conn {
                 Err(e) => return Err(format!("connect to port {port}: {e}")),
             }
         };
+        // Requests go out as one write of one line each (see `send`).
+        stream.set_nodelay(true).map_err(|e| e.to_string())?;
         let read_half = stream.try_clone().map_err(|e| e.to_string())?;
         Ok(Conn {
             reader: BufReader::new(read_half),
-            writer: BufWriter::new(stream),
+            writer: stream,
             pending: 0,
         })
     }
 
+    /// Sends one request as one write: a body and its `\n` written
+    /// separately would let Nagle hold the newline of a large `load`
+    /// back until the server's delayed ACK.
     fn send(&mut self, req: &Json) -> Result<(), String> {
+        let mut line = Vec::new();
+        req.write_to(&mut line);
+        line.push(b'\n');
         self.writer
-            .write_all(req.render().as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
+            .write_all(&line)
             .map_err(|e| format!("send: {e}"))
     }
 
@@ -89,7 +95,7 @@ impl Conn {
             Frame::Value(v) => Ok(v),
             Frame::Eof => Err("server closed the connection".to_owned()),
             Frame::Oversized => Err("oversized response frame".to_owned()),
-            Frame::Malformed(m) => Err(format!("malformed response: {m}")),
+            Frame::Malformed(_, m) => Err(format!("malformed response: {m}")),
         }
     }
 }

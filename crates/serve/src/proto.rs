@@ -6,11 +6,13 @@
 //! it drains it chunk by chunk through the `BufRead` internals and
 //! reports [`Frame::Oversized`], so a misbehaving peer costs bounded
 //! memory and still gets a structured error back instead of a dropped
-//! connection.
+//! connection. A frame nested deeper than [`treequery_obs::MAX_DEPTH`]
+//! is refused the same way, with its own code, before the recursive
+//! parser can exhaust the session thread's stack.
 
 use std::io::{self, BufRead};
 
-use treequery_obs::{parse_json, Json};
+use treequery_obs::{parse_json, Json, JsonErrorKind};
 
 /// The protocol version this build speaks. A hello carrying any other
 /// version is answered with `version_mismatch` and the connection is
@@ -57,6 +59,9 @@ pub enum ErrorCode {
     EditRejected,
     /// The server is shutting down.
     ShuttingDown,
+    /// The frame nests arrays/objects deeper than
+    /// [`treequery_obs::MAX_DEPTH`].
+    TooDeep,
 }
 
 impl ErrorCode {
@@ -79,6 +84,7 @@ impl ErrorCode {
             ErrorCode::NoSuchQuery => "no_such_query",
             ErrorCode::EditRejected => "edit_rejected",
             ErrorCode::ShuttingDown => "shutting_down",
+            ErrorCode::TooDeep => "too_deep",
         }
     }
 }
@@ -111,8 +117,10 @@ pub enum Frame {
     Eof,
     /// The line was longer than [`MAX_LINE_BYTES`]; it has been drained.
     Oversized,
-    /// The line was not valid JSON.
-    Malformed(String),
+    /// The line was refused — [`ErrorCode::MalformedFrame`] when it is
+    /// not valid JSON, [`ErrorCode::TooDeep`] when it nests too deep —
+    /// with a message saying why.
+    Malformed(ErrorCode, String),
 }
 
 /// Reads one frame. Empty lines are skipped (friendly to `nc` users
@@ -158,7 +166,12 @@ pub fn read_frame(reader: &mut impl BufRead) -> io::Result<Frame> {
         }
         let text = match std::str::from_utf8(&line) {
             Ok(t) => t.trim(),
-            Err(_) => return Ok(Frame::Malformed("frame is not UTF-8".to_owned())),
+            Err(_) => {
+                return Ok(Frame::Malformed(
+                    ErrorCode::MalformedFrame,
+                    "frame is not UTF-8".to_owned(),
+                ))
+            }
         };
         if text.is_empty() {
             if complete {
@@ -168,7 +181,13 @@ pub fn read_frame(reader: &mut impl BufRead) -> io::Result<Frame> {
         }
         return Ok(match parse_json(text) {
             Ok(v) => Frame::Value(v),
-            Err(e) => Frame::Malformed(e.to_string()),
+            Err(e) => {
+                let code = match e.kind {
+                    JsonErrorKind::Syntax => ErrorCode::MalformedFrame,
+                    JsonErrorKind::TooDeep => ErrorCode::TooDeep,
+                };
+                Frame::Malformed(code, e.to_string())
+            }
         });
     }
 }
@@ -186,7 +205,7 @@ mod tests {
                 Frame::Eof => break,
                 Frame::Value(v) => out.push(format!("value:{}", v.render())),
                 Frame::Oversized => out.push("oversized".to_owned()),
-                Frame::Malformed(_) => out.push("malformed".to_owned()),
+                Frame::Malformed(code, _) => out.push(code.as_str().to_owned()),
             }
         }
         out
@@ -218,6 +237,17 @@ mod tests {
     #[test]
     fn junk_is_malformed_not_fatal() {
         let got = frames(b"not json\n{\"a\":1}\n");
-        assert_eq!(got, vec!["malformed", "value:{\"a\":1}"]);
+        assert_eq!(got, vec!["malformed_frame", "value:{\"a\":1}"]);
+    }
+
+    #[test]
+    fn deep_nesting_is_too_deep_not_fatal() {
+        // Half a million `[` would overflow the recursive parser's stack;
+        // the reader refuses the frame and resynchronizes on the newline.
+        let mut input = vec![b'['; 500_000];
+        input.push(b'\n');
+        input.extend_from_slice(b"{\"a\":[[1]]}\n");
+        let got = frames(&input);
+        assert_eq!(got, vec!["too_deep", "value:{\"a\":[[1]]}"]);
     }
 }

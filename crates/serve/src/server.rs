@@ -120,7 +120,7 @@ pub struct Shared {
 }
 
 impl Shared {
-    fn new(config: &ServerConfig, port: u16) -> Shared {
+    pub(crate) fn new(config: &ServerConfig, port: u16) -> Shared {
         let registry = Registry::new();
         let requests = registry.counter_family(
             "treequery_serve_requests",

@@ -20,8 +20,16 @@
 //! its full span tree in `/flight` after the fact. The session's tenant
 //! (declared at `hello`) labels the usage counters and rides along on
 //! the same flight record.
+//!
+//! Writing: each reply is rendered once into the session's one reusable
+//! byte buffer, terminated with its `\n`, and handed to the socket in a
+//! single `write_all`; the socket has `TCP_NODELAY` set. A reply split
+//! over two writes would let Nagle hold its tail back until the client's
+//! delayed ACK — about 40 ms on every answer too large for one buffer.
+//! A successful `query` renders its rows straight from the engine's
+//! answer into that buffer while it still holds the document's read lock.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,8 +37,10 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use treequery_core::{CancelReason, CostClass, EngineError, Query, QueryOutput};
-use treequery_obs::{flight, span, Json};
-use treequery_tree::{parse_script, parse_term, xmark_document, CancelToken, Tree, XmarkConfig};
+use treequery_obs::{flight, span, write_u64, Json};
+use treequery_tree::{
+    parse_script, parse_term, xmark_document, CancelToken, NodeId, Tree, XmarkConfig,
+};
 
 use crate::admission::AdmissionVerdict;
 use crate::proto::{self, ErrorCode, Frame, PROTOCOL_VERSION};
@@ -42,6 +52,9 @@ const MAX_TRACE_ID_BYTES: usize = 128;
 const MAX_TENANT_BYTES: usize = 64;
 /// The tenant a connection accounts to until `hello` declares one.
 const ANONYMOUS_TENANT: &str = "anonymous";
+/// Capacity the output buffer keeps between replies; one huge answer
+/// does not pin its memory for the rest of the connection.
+const RETAINED_REPLY_BYTES: usize = 1 << 20;
 
 /// What the session loop does after sending a response.
 pub(crate) enum Flow {
@@ -77,38 +90,42 @@ pub(crate) fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let mut sess = SessionState::default();
+    // Replies leave in one write each, so nothing is gained by Nagle
+    // holding a reply's last segment back.
+    let _ = stream.set_nodelay(true);
+    run(&shared, BufReader::new(read_half), stream);
+}
 
+/// The session loop over any transport: read a frame, render its reply
+/// into the one output buffer, append the `\n`, write it in one call.
+fn run(shared: &Shared, mut reader: impl BufRead, mut writer: impl Write) {
+    let mut sess = SessionState::default();
+    let mut out = Vec::new();
     loop {
         let frame = match proto::read_frame(&mut reader) {
             Ok(f) => f,
             Err(_) => return, // connection error; nothing to say
         };
-        let req = match frame {
+        out.clear();
+        out.shrink_to(RETAINED_REPLY_BYTES);
+        let flow = match frame {
             Frame::Eof => return,
             Frame::Oversized => {
                 let body = proto::error(
                     ErrorCode::OversizedFrame,
                     format!("line exceeds {} bytes", proto::MAX_LINE_BYTES),
                 );
-                if send(&shared, &mut writer, &body).is_err() {
-                    return;
-                }
-                continue;
+                render_body(shared, &body, &mut out);
+                Flow::Continue
             }
-            Frame::Malformed(msg) => {
-                let body = proto::error(ErrorCode::MalformedFrame, msg);
-                if send(&shared, &mut writer, &body).is_err() {
-                    return;
-                }
-                continue;
+            Frame::Malformed(code, msg) => {
+                render_body(shared, &proto::error(code, msg), &mut out);
+                Flow::Continue
             }
-            Frame::Value(v) => v,
+            Frame::Value(req) => route(shared, &req, &mut sess, &mut out),
         };
-        let (body, flow) = route(&shared, &req, &mut sess);
-        if send(&shared, &mut writer, &body).is_err() {
+        out.push(b'\n');
+        if writer.write_all(&out).is_err() {
             return;
         }
         match flow {
@@ -129,13 +146,19 @@ impl Drop for DecrementOnDrop<'_> {
     }
 }
 
-fn send(shared: &Shared, writer: &mut impl Write, body: &Json) -> std::io::Result<()> {
+/// Renders a reply body into `out`, counting its error code if it has one.
+fn render_body(shared: &Shared, body: &Json, out: &mut Vec<u8>) {
     if let Some(code) = body.get("code").and_then(Json::as_str) {
         shared.errors.with_label(code).inc();
     }
-    writer.write_all(body.render().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+    body.write_to(out);
+}
+
+/// A verb's outcome: a body for the router to stamp and render, or a
+/// reply the verb already rendered into the output buffer itself.
+enum Reply {
+    Body(Json),
+    Rendered,
 }
 
 /// The request's trace id: the client's own if present and sane, a fresh
@@ -169,34 +192,47 @@ fn hello_tenant(req: &Json) -> Result<Option<String>, Json> {
     }
 }
 
-/// Dispatches one parsed request. Pure with respect to the connection:
-/// all I/O stays in the caller, which is what the protocol tests lean
-/// on. Every reply — success or error — is stamped with the request's
-/// trace id, and error codes are charged to the session's tenant.
-pub(crate) fn route(shared: &Shared, req: &Json, sess: &mut SessionState) -> (Json, Flow) {
-    let (body, flow, trace_id) = match resolve_trace_id(shared, req) {
+/// Dispatches one parsed request and renders its reply into `out`.
+/// Pure with respect to the connection: all I/O stays in the caller,
+/// which is what the protocol tests lean on. Every reply — success or
+/// error — is stamped with the request's trace id, and error codes are
+/// charged to the session's tenant.
+fn route(shared: &Shared, req: &Json, sess: &mut SessionState, out: &mut Vec<u8>) -> Flow {
+    let (reply, flow, trace_id) = match resolve_trace_id(shared, req) {
         Ok(trace_id) => {
-            let (body, flow) = dispatch(shared, req, sess, &trace_id);
-            (body, flow, trace_id)
+            let (reply, flow) = dispatch(shared, req, sess, &trace_id, out);
+            (reply, flow, trace_id)
         }
         Err(e) => {
             shared.requests.with_label("invalid").inc();
-            (e, Flow::Continue, shared.make_trace_id())
+            (Reply::Body(e), Flow::Continue, shared.make_trace_id())
         }
     };
-    if sess.hello_done {
-        if let Some(code) = body.get("code").and_then(Json::as_str) {
-            shared.usage.record_error_code(&sess.tenant, code);
+    if let Reply::Body(body) = reply {
+        if sess.hello_done {
+            if let Some(code) = body.get("code").and_then(Json::as_str) {
+                shared.usage.record_error_code(&sess.tenant, code);
+            }
         }
+        render_body(shared, &body.set("trace_id", trace_id), out);
     }
-    (body.set("trace_id", trace_id), flow)
+    flow
 }
 
-fn dispatch(shared: &Shared, req: &Json, sess: &mut SessionState, trace_id: &str) -> (Json, Flow) {
+fn dispatch(
+    shared: &Shared,
+    req: &Json,
+    sess: &mut SessionState,
+    trace_id: &str,
+    out: &mut Vec<u8>,
+) -> (Reply, Flow) {
     let Some(verb) = req.get("verb").and_then(Json::as_str) else {
         shared.requests.with_label("invalid").inc();
         return (
-            proto::error(ErrorCode::MissingField, "request needs a string 'verb'"),
+            Reply::Body(proto::error(
+                ErrorCode::MissingField,
+                "request needs a string 'verb'",
+            )),
             Flow::Continue,
         );
     };
@@ -213,21 +249,24 @@ fn dispatch(shared: &Shared, req: &Json, sess: &mut SessionState, trace_id: &str
 
     if shared.shutting_down() && verb != "hello" {
         return (
-            proto::error(ErrorCode::ShuttingDown, "server is shutting down"),
+            Reply::Body(proto::error(
+                ErrorCode::ShuttingDown,
+                "server is shutting down",
+            )),
             Flow::Close,
         );
     }
     if !sess.hello_done {
         if verb != "hello" {
             return (
-                proto::error(
+                Reply::Body(proto::error(
                     ErrorCode::ExpectedHello,
                     "first frame must be {\"verb\":\"hello\",\"version\":1}",
-                ),
+                )),
                 Flow::Continue,
             );
         }
-        return match req.get("version").and_then(Json::as_u64) {
+        let (body, flow) = match req.get("version").and_then(Json::as_u64) {
             Some(PROTOCOL_VERSION) => match hello_tenant(req) {
                 Ok(tenant) => {
                     sess.hello_done = true;
@@ -257,6 +296,7 @@ fn dispatch(shared: &Shared, req: &Json, sess: &mut SessionState, trace_id: &str
                 Flow::Continue,
             ),
         };
+        return (Reply::Body(body), flow);
     }
 
     let body = match verb {
@@ -278,7 +318,10 @@ fn dispatch(shared: &Shared, req: &Json, sess: &mut SessionState, trace_id: &str
         "load" => verb_load(shared, req),
         "drop" => verb_drop(shared, req),
         "list" => verb_list(shared),
-        "query" => verb_query(shared, req, sess, trace_id),
+        "query" => match verb_query(shared, req, sess, trace_id, out) {
+            Ok(()) => return (Reply::Rendered, Flow::Continue),
+            Err(e) => e,
+        },
         "edit" => {
             let body = verb_edit(shared, req);
             if matches!(body.get("ok"), Some(Json::Bool(true))) {
@@ -304,16 +347,18 @@ fn dispatch(shared: &Shared, req: &Json, sess: &mut SessionState, trace_id: &str
             shared.begin_shutdown();
             let (drained, cancelled) = shared.drain_inflight();
             return (
-                proto::ok()
-                    .set("shutting_down", true)
-                    .set("drained", drained)
-                    .set("cancelled", cancelled),
+                Reply::Body(
+                    proto::ok()
+                        .set("shutting_down", true)
+                        .set("drained", drained)
+                        .set("cancelled", cancelled),
+                ),
                 Flow::CloseAndShutdown,
             );
         }
         other => proto::error(ErrorCode::UnknownVerb, format!("unknown verb {other:?}")),
     };
-    (body, Flow::Continue)
+    (Reply::Body(body), Flow::Continue)
 }
 
 fn need_str<'a>(req: &'a Json, key: &str) -> Result<&'a str, Json> {
@@ -426,27 +471,49 @@ fn parse_query(req: &Json) -> Result<Query, Json> {
     }
 }
 
-/// Renders a query answer as pre-order ranks — positions in the current
+/// Renders a successful query reply into `out`: the envelope `head`,
+/// then `kind`, then `rows` as pre-order ranks — positions in the current
 /// tree's document order, the only node naming that is meaningful to a
-/// client across the wire.
-fn rows_json(tree: &Tree, out: &QueryOutput) -> Json {
-    match out {
-        QueryOutput::Nodes(nodes) => {
-            let rows: Vec<Json> = nodes.iter().map(|&v| Json::from(tree.pre(v))).collect();
-            Json::obj().set("kind", "nodes").set("rows", rows)
+/// client across the wire — then, for tuple answers, `satisfiable`. The
+/// bytes are exactly `head`'s object with those fields appended.
+fn render_query_reply(out: &mut Vec<u8>, head: Json, tree: &Tree, answer: &QueryOutput) {
+    let kind = match answer {
+        QueryOutput::Nodes(_) => "nodes",
+        QueryOutput::Answer(_) => "tuples",
+    };
+    head.set("kind", kind).write_to(out);
+    out.pop(); // reopen the object: the rows follow the envelope
+    out.extend_from_slice(b",\"rows\":[");
+    let write_ranks = |out: &mut Vec<u8>, nodes: &[NodeId]| {
+        for (i, &v) in nodes.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            write_u64(out, u64::from(tree.pre(v)));
         }
+    };
+    match answer {
+        QueryOutput::Nodes(nodes) => write_ranks(out, nodes),
         QueryOutput::Answer(a) => {
-            let rows: Vec<Json> = a
-                .tuples
-                .iter()
-                .map(|t| Json::Arr(t.iter().map(|&v| Json::from(tree.pre(v))).collect()))
-                .collect();
-            Json::obj()
-                .set("kind", "tuples")
-                .set("rows", rows)
-                .set("satisfiable", !a.tuples.is_empty())
+            for (i, tuple) in a.tuples.iter().enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                out.push(b'[');
+                write_ranks(out, tuple);
+                out.push(b']');
+            }
         }
     }
+    out.push(b']');
+    if let QueryOutput::Answer(a) = answer {
+        out.extend_from_slice(if a.is_satisfiable() {
+            b",\"satisfiable\":true"
+        } else {
+            b",\"satisfiable\":false"
+        });
+    }
+    out.push(b'}');
 }
 
 fn engine_error_json(err: &EngineError, id: u64) -> Json {
@@ -469,25 +536,24 @@ fn cost_class_key(cost: CostClass) -> &'static str {
     }
 }
 
-fn verb_query(shared: &Shared, req: &Json, sess: &SessionState, trace_id: &str) -> Json {
-    let doc_name = match need_str(req, "doc") {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
-    let query = match parse_query(req) {
-        Ok(q) => q,
-        Err(e) => return e,
-    };
-    let deadline_ms = match opt_u64(req, "deadline_ms") {
-        Ok(d) => d,
-        Err(e) => return e,
-    };
+/// Answers a query, rendering a successful reply straight into `out`;
+/// an error comes back as a body for the router to render.
+fn verb_query(
+    shared: &Shared,
+    req: &Json,
+    sess: &SessionState,
+    trace_id: &str,
+    out: &mut Vec<u8>,
+) -> Result<(), Json> {
+    let doc_name = need_str(req, "doc")?;
+    let query = parse_query(req)?;
+    let deadline_ms = opt_u64(req, "deadline_ms")?;
     let tag = req.get("tag").and_then(Json::as_str).map(str::to_owned);
     let Some(doc) = shared.catalog.get(doc_name) else {
-        return proto::error(
+        return Err(proto::error(
             ErrorCode::NoSuchDocument,
             format!("no document {doc_name:?}"),
-        );
+        ));
     };
 
     // With the flight recorder installed the whole request is recorded —
@@ -503,14 +569,9 @@ fn verb_query(shared: &Shared, req: &Json, sess: &SessionState, trace_id: &str) 
         let engine = doc.engine();
         // Lower + plan first: parse errors answer immediately, and the
         // plan's cost class is what admission keys on.
-        let ir = match engine.lower(&query) {
-            Ok(ir) => ir,
-            Err(e) => return proto::error(ErrorCode::QueryError, e.to_string()),
-        };
-        let plan = match engine.explain(&query) {
-            Ok(p) => p,
-            Err(e) => return proto::error(ErrorCode::QueryError, e.to_string()),
-        };
+        let query_error = |e: EngineError| proto::error(ErrorCode::QueryError, e.to_string());
+        let ir = engine.lower(&query).map_err(query_error)?;
+        let plan = engine.explain(&query).map_err(query_error)?;
 
         let token = match deadline_ms {
             Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
@@ -528,7 +589,7 @@ fn verb_query(shared: &Shared, req: &Json, sess: &SessionState, trace_id: &str) 
         };
         let admission_wait_ns = admit_started.elapsed().as_nanos() as u64;
         let Ok((_permit, verdict)) = admitted else {
-            return proto::error(
+            return Err(proto::error(
                 ErrorCode::AdmissionRejected,
                 format!(
                     "heavy lane full ({} slots) and no slot freed within {:?}",
@@ -536,7 +597,7 @@ fn verb_query(shared: &Shared, req: &Json, sess: &SessionState, trace_id: &str) 
                     shared.admit_timeout
                 ),
             )
-            .set("id", id);
+            .set("id", id));
         };
 
         let ctx = flight::RequestCtx {
@@ -547,45 +608,36 @@ fn verb_query(shared: &Shared, req: &Json, sess: &SessionState, trace_id: &str) 
         let started = Instant::now();
         let result = flight::with_request_ctx(ctx, || engine.eval_ir_with_cancel(&ir, &token));
         let wall_ns = started.elapsed().as_nanos() as u64;
-        match result {
-            Ok(out) => {
-                let row_count = match &out {
-                    QueryOutput::Nodes(v) => v.len() as u64,
-                    QueryOutput::Answer(a) => a.tuples.len() as u64,
-                };
-                // The trace id is stamped here, before the body is
-                // measured, so `resp_bytes` equals what actually goes on
-                // the wire (the router's later re-stamp is idempotent).
-                let serialize = span("serve.serialize");
-                let rows = rows_json(doc.tree(), &out);
-                let mut body = proto::ok()
-                    .set("id", id)
-                    .set("doc", doc_name)
-                    .set("strategy", format!("{:?}", plan.strategy))
-                    .set("cost", plan.cost.to_string())
-                    .set("admission", admission_str(verdict))
-                    .set("wall_us", wall_ns / 1_000)
-                    .set("trace_id", trace_id);
-                if let Json::Obj(fields) = rows {
-                    for (k, v) in fields {
-                        body = body.set(k, v);
-                    }
-                }
-                let resp_bytes = (body.render().len() + 1) as u64; // + '\n'
-                drop(serialize);
-                flight::annotate_response(resp_bytes);
-                shared.usage.record_query(
-                    &sess.tenant,
-                    wall_ns,
-                    row_count,
-                    resp_bytes,
-                    matches!(verdict, AdmissionVerdict::Queued),
-                );
-                shared.slo.observe(cost_class_key(plan.cost), wall_ns);
-                body
-            }
-            Err(e) => engine_error_json(&e, id),
-        }
+        let answer = result.map_err(|e| engine_error_json(&e, id))?;
+        let row_count = match &answer {
+            QueryOutput::Nodes(v) => v.len() as u64,
+            QueryOutput::Answer(a) => a.tuples.len() as u64,
+        };
+        // The reply's one render, trace id included, so `resp_bytes` is
+        // what goes on the wire.
+        let serialize = span("serve.serialize");
+        let start = out.len();
+        let head = proto::ok()
+            .set("id", id)
+            .set("doc", doc_name)
+            .set("strategy", format!("{:?}", plan.strategy))
+            .set("cost", plan.cost.to_string())
+            .set("admission", admission_str(verdict))
+            .set("wall_us", wall_ns / 1_000)
+            .set("trace_id", trace_id);
+        render_query_reply(out, head, doc.tree(), &answer);
+        let resp_bytes = (out.len() - start + 1) as u64; // + '\n'
+        drop(serialize);
+        flight::annotate_response(resp_bytes);
+        shared.usage.record_query(
+            &sess.tenant,
+            wall_ns,
+            row_count,
+            resp_bytes,
+            matches!(verdict, AdmissionVerdict::Queued),
+        );
+        shared.slo.observe(cost_class_key(plan.cost), wall_ns);
+        Ok(())
     })
 }
 
@@ -710,5 +762,132 @@ fn verb_cancel(shared: &Shared, req: &Json) -> Json {
         proto::error(ErrorCode::NoSuchQuery, "no running query matches")
     } else {
         proto::ok().set("cancelled", cancelled)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::ServerConfig;
+    use treequery_core::Engine;
+
+    /// The reply as it was built before rows were rendered directly: one
+    /// `Json` node per rank, merged into the envelope, rendered whole.
+    /// Kept only as the byte-identity oracle.
+    fn tree_built_reply(head: Json, tree: &Tree, answer: &QueryOutput) -> String {
+        let rows = match answer {
+            QueryOutput::Nodes(nodes) => {
+                let rows: Vec<Json> = nodes.iter().map(|&v| Json::from(tree.pre(v))).collect();
+                Json::obj().set("kind", "nodes").set("rows", rows)
+            }
+            QueryOutput::Answer(a) => {
+                let rows: Vec<Json> = a
+                    .tuples
+                    .iter()
+                    .map(|t| Json::Arr(t.iter().map(|&v| Json::from(tree.pre(v))).collect()))
+                    .collect();
+                Json::obj()
+                    .set("kind", "tuples")
+                    .set("rows", rows)
+                    .set("satisfiable", !a.tuples.is_empty())
+            }
+        };
+        let mut body = head;
+        if let Json::Obj(fields) = rows {
+            for (k, v) in fields {
+                body = body.set(k, v);
+            }
+        }
+        body.render()
+    }
+
+    #[test]
+    fn direct_render_is_byte_identical_to_the_json_tree() {
+        let tree = parse_term("r(a(b) a(b c) c)").unwrap();
+        let engine = Engine::new(&tree);
+        let head = proto::ok()
+            .set("id", 7u64)
+            .set("doc", "d\"q\n")
+            .set("strategy", "SetAtATime")
+            .set("cost", "linear")
+            .set("admission", "fast_lane")
+            .set("wall_us", 12u64)
+            .set("trace_id", "t-1");
+        for (query, rows) in [
+            (Query::xpath("//a[b]"), "[1,3]"),
+            (Query::xpath("//zzz"), "[]"),
+            (
+                Query::cq("q(x,y) :- label(x, a), child(x, y), label(y, b)."),
+                "[[1,2],[3,4]]",
+            ),
+            (Query::cq("q() :- label(x, a)."), "[[]]"),
+            (Query::cq("q() :- label(x, zzz)."), "[]"),
+        ] {
+            let answer = engine.eval(&query).unwrap();
+            let mut out = Vec::new();
+            render_query_reply(&mut out, head.clone(), &tree, &answer);
+            let direct = String::from_utf8(out).unwrap();
+            assert_eq!(direct, tree_built_reply(head.clone(), &tree, &answer));
+            assert!(direct.contains(&format!("\"rows\":{rows}")), "{direct}");
+        }
+    }
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct Recorder(Vec<Vec<u8>>);
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_is_one_write_ending_in_its_newline() {
+        let shared = Shared::new(&ServerConfig::default(), 0);
+        let frames = [
+            r#"{"verb":"list"}"#.to_owned(),
+            r#"{"verb":"hello","version":1}"#.to_owned(),
+            r#"{"verb":"load","name":"x","xmark":3000}"#.to_owned(),
+            r#"{"verb":"query","doc":"x","lang":"xpath","text":"//*"}"#.to_owned(),
+            r#"{"verb":"query","doc":"x","lang":"xpath","text":"//a[[["}"#.to_owned(),
+            "not json".to_owned(),
+            "[".repeat(1_000),
+            r#"{"verb":"list"}"#.to_owned(),
+        ];
+        let input = frames.join("\n") + "\n";
+        let mut writes = Recorder::default();
+        run(&shared, input.as_bytes(), &mut writes);
+        let writes = writes.0;
+        assert_eq!(writes.len(), frames.len(), "one write per reply");
+        for w in &writes {
+            assert_eq!(w.last(), Some(&b'\n'));
+            assert_eq!(w.iter().filter(|&&b| b == b'\n').count(), 1);
+        }
+        assert!(
+            writes[3].len() > 8 << 10,
+            "the query reply outgrows an 8 KiB buffer: {} bytes",
+            writes[3].len()
+        );
+        let code = |w: &[u8]| {
+            let reply = treequery_obs::parse_json(std::str::from_utf8(w).unwrap()).unwrap();
+            reply.get("code").and_then(Json::as_str).map(str::to_owned)
+        };
+        let codes: Vec<Option<String>> = writes.iter().map(|w| code(w)).collect();
+        let expected = [
+            Some("expected_hello"),
+            None,
+            None,
+            None,
+            Some("query_error"),
+            Some("malformed_frame"),
+            Some("too_deep"),
+            None,
+        ];
+        assert_eq!(codes, expected.map(|c| c.map(str::to_owned)));
     }
 }

@@ -102,6 +102,66 @@ fn oversized_lines_are_rejected_without_buffering_or_disconnecting() {
 }
 
 #[test]
+fn deeply_nested_frames_are_too_deep_and_the_server_keeps_serving() {
+    let server = spawn();
+    let mut conn = TestConn::hello(server.port());
+    // Half a million `[` — under the frame cap, but deep enough to
+    // overflow a recursive parser's stack and take every tenant down.
+    conn.send_raw(&"[".repeat(500_000));
+    let resp = conn.recv();
+    assert_eq!(code(&resp), Some("too_deep"), "{}", resp.render());
+    expect_ok(conn.request(Json::obj().set("verb", "list")));
+    // Other connections are unaffected too.
+    let mut other = TestConn::hello(server.port());
+    expect_ok(other.request(Json::obj().set("verb", "list")));
+    server.shutdown().unwrap();
+}
+
+/// A reply too large for one socket buffer must not wait out the
+/// client's delayed-ACK timer (~40 ms): it leaves in one write, with
+/// `TCP_NODELAY` set.
+#[test]
+fn large_answers_do_not_stall_on_delayed_acks() {
+    let server = spawn();
+    let mut conn = TestConn::hello(server.port());
+    expect_ok(
+        conn.request(
+            Json::obj()
+                .set("verb", "load")
+                .set("name", "x")
+                .set("xmark", 3_000u64),
+        ),
+    );
+    let query = Json::obj()
+        .set("verb", "query")
+        .set("doc", "x")
+        .set("lang", "xpath")
+        .set("text", "//*");
+    let resp = expect_ok(conn.request(query.clone()));
+    let rows = resp.get("rows").and_then(Json::as_arr).unwrap().len();
+    assert!(rows > 2_000, "{rows} rows");
+    let bytes = resp.render().len();
+    assert!(
+        bytes > 8 << 10,
+        "{bytes}-byte reply outgrows an 8 KiB buffer"
+    );
+    let mut round_trips: Vec<std::time::Duration> = (0..10)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            expect_ok(conn.request(query.clone()));
+            started.elapsed()
+        })
+        .collect();
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(20),
+        "median round trip {median:?} for a {bytes}-byte reply: {round_trips:?}"
+    );
+    server.shutdown().unwrap();
+}
+
+#[test]
 fn version_mismatch_answers_then_closes() {
     let server = spawn();
     let mut conn = TestConn::open(server.port());

@@ -1,7 +1,7 @@
 //! Shared helpers for the server integration suites: spawn an ephemeral
 //! server, speak the line protocol over a raw socket.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -23,7 +23,7 @@ pub fn spawn_with(config: ServerConfig) -> ServerHandle {
 /// A raw protocol connection, one JSON line per call.
 pub struct TestConn {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
 }
 
 impl TestConn {
@@ -39,10 +39,11 @@ impl TestConn {
                 }
             }
         };
+        stream.set_nodelay(true).expect("set TCP_NODELAY");
         let read_half = stream.try_clone().expect("clone stream");
         TestConn {
             reader: BufReader::new(read_half),
-            writer: BufWriter::new(stream),
+            writer: stream,
         }
     }
 
@@ -58,11 +59,12 @@ impl TestConn {
         conn
     }
 
-    /// Sends one raw line (newline appended).
+    /// Sends one raw line (newline appended) in one write.
     pub fn send_raw(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).expect("send");
-        self.writer.write_all(b"\n").expect("send");
-        self.writer.flush().expect("flush");
+        let mut buf = Vec::with_capacity(line.len() + 1);
+        buf.extend_from_slice(line.as_bytes());
+        buf.push(b'\n');
+        self.writer.write_all(&buf).expect("send");
     }
 
     /// Sends one request object.

@@ -23,12 +23,14 @@ TREEQUERY_WORKERS=4 cargo test --workspace -q
 echo "==> determinism: observation-heavy test binaries, 5 runs each"
 # These binaries observe spans and allocations while other tests run on
 # parallel threads; per-query captures must keep every run green at
-# cargo's default test-thread count.
+# cargo's default test-thread count. The admission test runs in release:
+# its heavy-lane race only shows at release speed.
 for run in 1 2 3 4 5; do
     echo "    run $run/5"
     cargo test -q --test stress_engine
     cargo test -q -p treequery-bench --lib
     cargo test -q -p treequery-obs --lib
+    cargo test --release -q -p treequery-serve --test admission
 done
 
 echo "==> cargo doc (deny warnings)"

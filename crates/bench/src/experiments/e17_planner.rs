@@ -5,7 +5,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use treequery_core::tree::{xmark_document, XmarkConfig};
-use treequery_core::{Engine, EngineConfig, Query, XPathStrategy};
+use treequery_core::{
+    applicable_strategies, Engine, EngineConfig, ExplainedPlan, PlannerConfig, Query, Strategy,
+};
 
 use crate::util::{fmt_dur, header, median_time};
 
@@ -42,12 +44,22 @@ pub fn run() {
     for q in XPATH_QUERIES {
         let explained = e.explain(&Query::xpath(q)).unwrap();
         let planned = median_time(3, || e.xpath(q).unwrap());
-        let sweep = median_time(3, || e.xpath_via(q, XPathStrategy::SetAtATime).unwrap());
-        let via_cq = match e.xpath_via(q, XPathStrategy::AcyclicCq) {
-            Ok(_) => fmt_dur(median_time(3, || {
-                e.xpath_via(q, XPathStrategy::AcyclicCq).unwrap()
-            })),
-            Err(_) => "—".to_owned(),
+        let ir = e.lower(&Query::xpath(q)).unwrap();
+        // Forcing a route bypasses the planner, not the parallelism
+        // policy: each forced plan gets the default configuration's
+        // worker decision.
+        let forced = |s| {
+            let mut plan = ExplainedPlan::forced(&ir, s, 1);
+            plan.decide_parallel(e.stats(), &PlannerConfig::default());
+            plan
+        };
+        let sweep_plan = forced(Strategy::XPathSetAtATime);
+        let sweep = median_time(3, || e.run(&ir, &sweep_plan).unwrap());
+        let via_cq = if applicable_strategies(&ir).contains(&Strategy::XPathViaAcyclicCq) {
+            let acyclic_cq = forced(Strategy::XPathViaAcyclicCq);
+            fmt_dur(median_time(3, || e.run(&ir, &acyclic_cq).unwrap()))
+        } else {
+            "—".to_owned()
         };
         println!(
             "{:<38} {:>22} {:>10} {:>10} {:>10}",

@@ -14,14 +14,18 @@
 //! 2. **planner** ([`plan::planner`]): cheap per-tree statistics
 //!    ([`plan::TreeStats`]) plus the paper's classifiers (acyclicity,
 //!    the Theorem 6.8 dichotomy, Theorem 5.1 rewritability) pick an
-//!    execution strategy and explain the choice ([`plan::ExplainedPlan`],
-//!    surfaced by [`Engine::explain`]);
-//! 3. **executor** ([`plan::exec`]): the strategy runs with per-stage
-//!    work counters ([`Engine::metrics`]), behind a plan cache keyed by
-//!    `(query fingerprint, tree fingerprint)`.
+//!    execution strategy and explain the choice ([`plan::ExplainedPlan`]),
+//!    behind a plan cache keyed by `(query fingerprint, tree fingerprint)`
+//!    ([`Engine::plan`], surfaced by [`Engine::explain`]);
+//! 3. **executor** ([`plan::exec`]): [`Engine::run`] — the one evaluation
+//!    entry point — runs a plan with per-stage work counters
+//!    ([`Engine::metrics`]), under the ambient cancel token, leaving a
+//!    flight record when the recorder is on.
 //!
+//! [`Engine::eval`] is lower → plan → run. A caller that forces a strategy
+//! hands [`Engine::run`] an [`ExplainedPlan::forced`] plan instead.
 //! [`Engine::eval_batch`] evaluates many queries over the one tree on
-//! scoped worker threads; the classic entry points ([`Engine::xpath`],
+//! scoped worker threads; the typed entry points ([`Engine::xpath`],
 //! [`Engine::cq`], [`Engine::datalog`], [`Engine::stream_select`]) remain
 //! as thin shims over the pipeline.
 
@@ -90,47 +94,11 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Which implementation evaluates a Core XPath query (the forced-strategy
-/// override of [`Engine::xpath_via`]; normally the planner chooses).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum XPathStrategy {
-    /// The set-at-a-time evaluator (`O(|D| · |Q|)`).
-    SetAtATime,
-    /// The literal (P1)–(P4)/(Q1)–(Q5) semantics (slow; oracle).
-    Reference,
-    /// Translation to monadic datalog + Minoux (Theorem 3.2 route).
-    Datalog,
-    /// Translation of conjunctive queries to acyclic CQs + Yannakakis
-    /// (Proposition 4.2 route; fails on non-conjunctive queries).
-    AcyclicCq,
-}
-
-/// The technique the planner chose for a conjunctive query (Figure 7's
-/// landscape operationalized).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CqPlan {
-    /// The query is acyclic: full reducer + backtrack-free enumeration
-    /// (`O(|Q| · ||A|| + output)`).
-    Acyclic,
-    /// Cyclic but inside an X-property class: arc-consistency + minimum
-    /// valuation w.r.t. the certified order (Theorem 6.5); Boolean
-    /// answer.
-    XProperty(Order),
-    /// Rewritten into an equivalent union of this many acyclic queries
-    /// (Theorem 5.1).
-    RewriteUnion(usize),
-    /// Exponential backtracking (NP-hard shape, or brute force estimated
-    /// cheaper than a large rewrite union on a small tree).
-    Backtrack,
-}
-
 /// The answer to a conjunctive query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CqAnswer {
     /// The result tuples (the empty tuple for satisfied Boolean queries).
     pub tuples: BTreeSet<Vec<NodeId>>,
-    /// The technique used.
-    pub plan: CqPlan,
 }
 
 impl CqAnswer {
@@ -290,21 +258,20 @@ impl<'t> Engine<'t> {
     /// decided it.
     pub fn explain(&self, query: &Query) -> Result<ExplainedPlan, EngineError> {
         let ir = self.lower(query)?;
-        Ok((*self.plan_for(&ir)).clone())
+        Ok((*self.plan(&ir)).clone())
     }
 
-    fn plan_for(&self, ir: &QueryIr) -> std::sync::Arc<ExplainedPlan> {
-        self.plan_for_traced(ir, &self.metrics).0
+    /// The plan for an already-lowered query: looked up in the plan cache
+    /// (keyed by `(query fingerprint, tree fingerprint)`) and planned on a
+    /// miss. Each call is one lookup in the cache counters.
+    pub fn plan(&self, ir: &QueryIr) -> std::sync::Arc<ExplainedPlan> {
+        self.plan_counted(ir, &self.metrics)
     }
 
-    /// [`plan_for`](Self::plan_for) counting into `metrics`, plus whether
-    /// the plan came from the cache (the flight recorder tags records
-    /// with it).
-    fn plan_for_traced(
-        &self,
-        ir: &QueryIr,
-        metrics: &Metrics,
-    ) -> (std::sync::Arc<ExplainedPlan>, bool) {
+    /// [`plan`](Self::plan) counting into `metrics`. Whether the plan came
+    /// from the cache is left in [`LAST_LOOKUP`] for the flight record of
+    /// the run that follows.
+    fn plan_counted(&self, ir: &QueryIr, metrics: &Metrics) -> std::sync::Arc<ExplainedPlan> {
         let planned = std::cell::Cell::new(false);
         let compute = || {
             let _span = treequery_obs::span("pipeline.plan");
@@ -312,17 +279,17 @@ impl<'t> Engine<'t> {
             plan::Metrics::add_planned(metrics);
             plan::plan_ir(ir, self.stats(), &self.config.planner)
         };
-        if self.config.plan_cache {
-            let mut span = treequery_obs::span("pipeline.cache_lookup");
-            let plan =
-                self.cache
-                    .get_or_insert(ir.fingerprint, self.tree_fingerprint(), metrics, compute);
-            let hit = !planned.get();
-            span.record_bool("hit", hit);
-            (plan, hit)
-        } else {
-            (std::sync::Arc::new(compute()), false)
+        if !self.config.plan_cache {
+            return std::sync::Arc::new(compute());
         }
+        let mut span = treequery_obs::span("pipeline.cache_lookup");
+        let plan =
+            self.cache
+                .get_or_insert(ir.fingerprint, self.tree_fingerprint(), metrics, compute);
+        let hit = !planned.get();
+        span.record_bool("hit", hit);
+        LAST_LOOKUP.with(|last| last.set(Some((ir.fingerprint, hit))));
+        plan
     }
 
     /// `EXPLAIN ANALYZE`: evaluates `query` once inside a
@@ -339,14 +306,12 @@ impl<'t> Engine<'t> {
     pub fn explain_analyze(&self, query: &Query) -> Result<AnalyzedPlan, EngineError> {
         let local = Metrics::default();
         let _accounting = treequery_obs::alloc::AccountingGuard::begin();
-        let started = std::time::Instant::now();
-        let (run, captured) = treequery_obs::capture(|| {
+        let (run, captured, total_ns) = captured_run(|| {
             let ir = self.lower_counted(query, &local)?;
-            let (chosen, _) = self.plan_for_traced(&ir, &local);
-            let output = plan::exec::execute(&ir, &chosen, self.tree, &local)?;
+            let chosen = self.plan_counted(&ir, &local);
+            let output = self.execute(&ir, &chosen, &local)?;
             Ok(((*chosen).clone(), output))
         });
-        let total_ns = started.elapsed().as_nanos() as u64;
         let counters = local.snapshot();
         self.metrics.absorb(&counters);
         let (chosen, output) = run?;
@@ -361,62 +326,63 @@ impl<'t> Engine<'t> {
         ))
     }
 
-    /// Evaluates one query through the full pipeline.
-    ///
-    /// Cancellation note: evaluation honours the ambient
-    /// [`tree::cancel`] token if the caller installed one
-    /// ([`Engine::eval_with_cancel`] does) — there is deliberately no
-    /// separate cancellation-free code path; with no token installed the
-    /// kernels' checkpoints cost one thread-local read each.
+    /// Evaluates one query: lower, [`plan`](Self::plan), [`run`](Self::run).
     pub fn eval(&self, query: &Query) -> Result<QueryOutput, EngineError> {
         let ir = self.lower(query)?;
-        self.eval_ir(&ir)
+        self.run(&ir, &self.plan(&ir))
     }
 
-    /// Evaluates one query under a [`CancelToken`]: the token is
-    /// installed as the thread's ambient token for the duration (worker
-    /// pools re-install it on their threads), every kernel checkpoint
-    /// observes it, and a tripped token surfaces as
-    /// [`EngineError::Cancelled`] within one chunk boundary — partial
-    /// results are discarded, shared state (plan cache, scratch pools,
-    /// metrics) stays consistent. Deadlines are tokens too:
+    /// Plans and runs an already-lowered query under a [`CancelToken`]:
+    /// the token is installed as the thread's ambient token for the
+    /// duration (see [`run`](Self::run)). Deadlines are tokens too:
     /// [`CancelToken::with_deadline`].
-    pub fn eval_with_cancel(
-        &self,
-        query: &Query,
-        token: &CancelToken,
-    ) -> Result<QueryOutput, EngineError> {
-        let ir = self.lower(query)?;
-        self.eval_ir_with_cancel(&ir, token)
-    }
-
-    /// [`Engine::eval_with_cancel`] for an already-lowered query.
     pub fn eval_ir_with_cancel(
         &self,
         ir: &QueryIr,
         token: &CancelToken,
     ) -> Result<QueryOutput, EngineError> {
-        tree::cancel::with_token(token, || self.eval_ir(ir))
+        tree::cancel::with_token(token, || self.run(ir, &self.plan(ir)))
     }
 
-    /// Evaluates an already-lowered query (plan-cache aware). While the
-    /// [`treequery_obs::flight`] recorder is installed, the evaluation is
-    /// assigned a query id and leaves a per-query record (plan choice,
+    /// Runs `plan` for an already-lowered query — every evaluation goes
+    /// through here. The plan is usually [`plan`](Self::plan)'s; a caller
+    /// may force one with [`ExplainedPlan::forced`] (how the differential
+    /// fuzzer and the benchmark suite pin strategies and worker counts).
+    ///
+    /// The run honours the ambient [`tree::cancel`] token if the caller
+    /// installed one ([`tree::cancel::with_token`]): every kernel
+    /// checkpoint observes it, and a tripped token surfaces as
+    /// [`EngineError::Cancelled`] within one chunk boundary — partial
+    /// results are discarded, shared state (plan cache, scratch pools,
+    /// metrics) stays consistent. With no token installed a checkpoint
+    /// costs one thread-local read.
+    ///
+    /// While the [`treequery_obs::flight`] recorder is installed, the run
+    /// is assigned a query id and leaves a per-query record (plan choice,
     /// timings, span tree, slow-query material) in the flight ring; the
     /// disabled path costs one relaxed atomic load.
-    pub fn eval_ir(&self, ir: &QueryIr) -> Result<QueryOutput, EngineError> {
+    pub fn run(&self, ir: &QueryIr, plan: &ExplainedPlan) -> Result<QueryOutput, EngineError> {
         if treequery_obs::flight::enabled() {
-            return self.eval_ir_recorded(ir);
+            return self.run_recorded(ir, plan);
         }
-        let chosen = self.plan_for(ir);
-        plan::exec::execute(ir, &chosen, self.tree, &self.metrics)
+        self.execute(ir, plan, &self.metrics)
     }
 
-    /// The flight-recorded evaluation path: planning + execution run
-    /// inside a [`treequery_obs::capture`] (pool workers replay it, so
-    /// cross-worker chunk spans land here too), then the record is
-    /// submitted with the captured spans. Out of line — the common
-    /// disabled path should pay only the `enabled()` load.
+    /// The one call into the executor, counting into `metrics`.
+    fn execute(
+        &self,
+        ir: &QueryIr,
+        plan: &ExplainedPlan,
+        metrics: &Metrics,
+    ) -> Result<QueryOutput, EngineError> {
+        plan::exec::execute(ir, plan, self.tree, metrics)
+    }
+
+    /// The flight-recorded run: execution happens inside a
+    /// [`treequery_obs::capture`] (pool workers replay it, so cross-worker
+    /// chunk spans land here too), then the record is submitted with the
+    /// captured spans. Out of line — the common disabled path should pay
+    /// only the `enabled()` load.
     ///
     /// Inside the query service's [`flight::record_request`] the record
     /// is held back and submitted with the whole request's spans, so the
@@ -424,16 +390,15 @@ impl<'t> Engine<'t> {
     ///
     /// [`flight::record_request`]: treequery_obs::flight::record_request
     #[cold]
-    fn eval_ir_recorded(&self, ir: &QueryIr) -> Result<QueryOutput, EngineError> {
+    fn run_recorded(
+        &self,
+        ir: &QueryIr,
+        chosen: &ExplainedPlan,
+    ) -> Result<QueryOutput, EngineError> {
         use treequery_obs::flight;
+        let cache_hit = LAST_LOOKUP.with(|last| last.take()) == Some((ir.fingerprint, true));
         let before = self.metrics.snapshot();
-        let started = std::time::Instant::now();
-        let ((result, chosen, cache_hit), captured) = treequery_obs::capture(|| {
-            let (chosen, cache_hit) = self.plan_for_traced(ir, &self.metrics);
-            let result = plan::exec::execute(ir, &chosen, self.tree, &self.metrics);
-            (result, chosen, cache_hit)
-        });
-        let wall_ns = started.elapsed().as_nanos() as u64;
+        let (result, captured, wall_ns) = captured_run(|| self.execute(ir, chosen, &self.metrics));
         let id = flight::begin_query();
         if id == 0 {
             // The recorder was uninstalled during the run.
@@ -478,7 +443,7 @@ impl<'t> Engine<'t> {
             .map(|ms| ms.saturating_mul(1_000_000))
             .or_else(flight::slow_threshold_ns);
         let detail = match threshold_ns {
-            Some(t) if wall_ns >= t => Some(self.slow_detail(&record, &chosen, &result, counters)),
+            Some(t) if wall_ns >= t => Some(self.slow_detail(&record, chosen, &result, counters)),
             _ => None,
         };
         flight::submit(record, detail);
@@ -544,39 +509,6 @@ impl<'t> Engine<'t> {
         Some(treequery_obs::traceexport::chrome_trace(&[record]))
     }
 
-    /// Evaluates an already-lowered query with a forced [`Strategy`] and
-    /// an explicit worker count, bypassing both the planner and the
-    /// parallelism policy. This is the strategy-forcing hook behind
-    /// differential testing (`treequery-fuzz`): every strategy in
-    /// [`plan::applicable_strategies`] must produce the same answer at
-    /// every worker count.
-    ///
-    /// The strategy must be applicable to the IR; forcing an inapplicable
-    /// one (e.g. the acyclic-CQ route without a Proposition 4.2 lowering,
-    /// or arc-consistency on a non-tractable query) panics in the
-    /// executor. Note [`Strategy::CqXProperty`] answers only the Boolean
-    /// question — its tuple set is `{()}` or `{}` even for queries with a
-    /// head.
-    pub fn eval_ir_via(
-        &self,
-        ir: &QueryIr,
-        strategy: Strategy,
-        workers: usize,
-    ) -> Result<QueryOutput, EngineError> {
-        let workers = workers.max(1);
-        let forced_plan = ExplainedPlan {
-            source: ir.source,
-            strategy,
-            cost: CostClass::Linear,
-            estimated_work: 0,
-            rationale: format!("forced by caller: {strategy}"),
-            workers,
-            parallel_rationale: format!("forced by caller: {workers} workers"),
-            query_fingerprint: ir.fingerprint,
-        };
-        plan::exec::execute(ir, &forced_plan, self.tree, &self.metrics)
-    }
-
     /// Evaluates many queries over the one tree on the shared worker
     /// pool.
     ///
@@ -623,79 +555,11 @@ impl<'t> Engine<'t> {
         }
     }
 
-    /// Evaluates a Core XPath query with an explicit, forced strategy
-    /// (bypassing the planner; used for cross-checking).
-    pub fn xpath_via(
-        &self,
-        query: &str,
-        strategy: XPathStrategy,
-    ) -> Result<Vec<NodeId>, EngineError> {
-        let path = xpath::parse_xpath(query).map_err(EngineError::XPath)?;
-        let ir = plan::ir::lower_path(&path);
-        let forced = match strategy {
-            XPathStrategy::SetAtATime => Strategy::XPathSetAtATime,
-            XPathStrategy::Reference => Strategy::XPathReference,
-            XPathStrategy::Datalog => Strategy::XPathViaDatalog,
-            XPathStrategy::AcyclicCq => {
-                if ir.lowered_cq.is_none() {
-                    // Recover the precise non-conjunctive reason.
-                    let e = xpath::to_cq(&path).expect_err("lowering failed");
-                    return Err(EngineError::XPath(xpath::XPathParseError {
-                        offset: 0,
-                        message: e.to_string(),
-                    }));
-                }
-                Strategy::XPathViaAcyclicCq
-            }
-        };
-        let mut forced_plan = ExplainedPlan {
-            source: SourceLang::XPath,
-            strategy: forced,
-            cost: CostClass::Linear,
-            estimated_work: 0,
-            rationale: format!("forced by caller: {forced}"),
-            workers: 1,
-            parallel_rationale: String::new(),
-            query_fingerprint: ir.fingerprint,
-        };
-        // Forcing a strategy bypasses the planner, not the parallelism
-        // policy: the forced plan still gets the configured decision.
-        forced_plan.decide_parallel(self.stats(), &self.config.planner);
-        match plan::exec::execute(&ir, &forced_plan, self.tree, &self.metrics)? {
-            QueryOutput::Nodes(v) => Ok(v),
-            QueryOutput::Answer(_) => unreachable!("XPath evaluates to a node set"),
-        }
-    }
-
-    /// The plan the engine would choose for a conjunctive query.
-    ///
-    /// Statistics-aware: on very small trees the planner may prefer
-    /// backtracking over a large rewrite union.
-    pub fn cq_plan(&self, q: &cq::Cq) -> CqPlan {
-        let ir = plan::ir::lower_cq(q);
-        match self.plan_for(&ir).strategy {
-            Strategy::CqAcyclic => CqPlan::Acyclic,
-            Strategy::CqXProperty(order) => CqPlan::XProperty(order),
-            Strategy::CqRewriteUnion(k) => CqPlan::RewriteUnion(k),
-            Strategy::CqBacktrack => CqPlan::Backtrack,
-            other => unreachable!("non-CQ strategy {other} for a CQ"),
-        }
-    }
-
     /// Evaluates a conjunctive query (textual syntax; see
     /// [`cq::parse_cq`]), choosing the technique via the planner.
     pub fn cq(&self, query: &str) -> Result<CqAnswer, EngineError> {
         match self.eval(&Query::cq(query))? {
             QueryOutput::Answer(a) => Ok(a),
-            QueryOutput::Nodes(_) => unreachable!("CQs evaluate to tuple answers"),
-        }
-    }
-
-    /// Evaluates an already-parsed conjunctive query.
-    pub fn eval_cq(&self, q: &cq::Cq) -> CqAnswer {
-        let ir = plan::ir::lower_cq(q);
-        match self.eval_ir(&ir).expect("parsed CQs evaluate infallibly") {
-            QueryOutput::Answer(a) => a,
             QueryOutput::Nodes(_) => unreachable!("CQs evaluate to tuple answers"),
         }
     }
@@ -731,6 +595,20 @@ impl<'t> Engine<'t> {
     }
 }
 
+thread_local! {
+    /// This thread's last plan-cache lookup — `(query fingerprint, hit)` —
+    /// taken by the flight record of the run that follows it.
+    static LAST_LOOKUP: std::cell::Cell<Option<(u64, bool)>> = const { std::cell::Cell::new(None) };
+}
+
+/// Runs `f` inside a [`treequery_obs::capture`] and times it: the run
+/// `EXPLAIN ANALYZE` reports and the flight recorder records.
+fn captured_run<T>(f: impl FnOnce() -> T) -> (T, treequery_obs::Captured, u64) {
+    let started = std::time::Instant::now();
+    let (out, captured) = treequery_obs::capture(f);
+    (out, captured, started.elapsed().as_nanos() as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -739,29 +617,31 @@ mod tests {
         parse_term("r(a(b(c) b) a(c(b)) b(a))").unwrap()
     }
 
+    /// Runs `query` with a forced strategy and worker count.
+    fn forced(e: &Engine<'_>, query: &Query, s: Strategy, workers: usize) -> QueryOutput {
+        let ir = e.lower(query).unwrap();
+        e.run(&ir, &ExplainedPlan::forced(&ir, s, workers)).unwrap()
+    }
+
     #[test]
     fn xpath_strategies_agree() {
         let t = engine_fixture();
         let e = Engine::new(&t);
         for q in ["//a[b]/c", "//b[not(c)]", "//a/following-sibling::b"] {
-            let base = e.xpath(q).unwrap();
-            assert_eq!(
-                e.xpath_via(q, XPathStrategy::Reference).unwrap(),
-                base,
-                "{q}"
-            );
-            assert_eq!(e.xpath_via(q, XPathStrategy::Datalog).unwrap(), base, "{q}");
+            let base = e.eval(&Query::xpath(q)).unwrap();
+            for s in [Strategy::XPathReference, Strategy::XPathViaDatalog] {
+                assert_eq!(forced(&e, &Query::xpath(q), s, 1), base, "{q} via {s}");
+            }
         }
         // Conjunctive-only route.
-        let q = "//a[b]/c";
+        let q = Query::xpath("//a[b]/c");
         assert_eq!(
-            e.xpath_via(q, XPathStrategy::AcyclicCq).unwrap(),
-            e.xpath(q).unwrap()
+            forced(&e, &q, Strategy::XPathViaAcyclicCq, 1),
+            e.eval(&q).unwrap()
         );
-        // Forcing the CQ route on a non-conjunctive query errors.
-        assert!(e
-            .xpath_via("//a[not(b)]", XPathStrategy::AcyclicCq)
-            .is_err());
+        // A non-conjunctive query does not offer the CQ route.
+        let ir = e.lower(&Query::xpath("//a[not(b)]")).unwrap();
+        assert!(!applicable_strategies(&ir).contains(&Strategy::XPathViaAcyclicCq));
     }
 
     #[test]
@@ -784,7 +664,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_ir_via_agrees_across_strategies_and_workers() {
+    fn forced_plans_agree_across_strategies_and_workers() {
         let t = engine_fixture();
         let e = Engine::new(&t);
         for q in [
@@ -795,10 +675,10 @@ mod tests {
             Query::datalog("P(x) :- label(x, b). ?- P."),
         ] {
             let ir = e.lower(&q).unwrap();
-            let base = e.eval_ir(&ir).unwrap();
+            let base = e.eval(&q).unwrap();
             for s in plan::applicable_strategies(&ir) {
                 for workers in [1, 4] {
-                    let got = e.eval_ir_via(&ir, s, workers).unwrap();
+                    let got = forced(&e, &q, s, workers);
                     match (&got, &base) {
                         (QueryOutput::Nodes(g), QueryOutput::Nodes(b)) => {
                             assert_eq!(g, b, "{q:?} via {s} x{workers}")
@@ -825,33 +705,32 @@ mod tests {
     }
 
     #[test]
-    fn cq_planner_routes_correctly() {
+    fn planner_routes_each_cq_class() {
         let t = engine_fixture();
         let e = Engine::new(&t);
+        let strategy = |q: &str| e.explain(&Query::cq(q)).unwrap().strategy;
         // Acyclic.
-        let a = e
-            .cq("q(x) :- label(x, a), child(x, y), label(y, b).")
-            .unwrap();
-        assert_eq!(a.plan, CqPlan::Acyclic);
-        assert!(a.is_satisfiable());
+        let q = "q(x) :- label(x, a), child(x, y), label(y, b).";
+        assert_eq!(strategy(q), Strategy::CqAcyclic);
+        assert!(e.cq(q).unwrap().is_satisfiable());
         // Cyclic but τ1: X-property.
-        let x = e.cq("child+(x, y), child+(y, z), child+(x, z)").unwrap();
-        assert_eq!(x.plan, CqPlan::XProperty(Order::Pre));
-        assert!(x.is_satisfiable());
+        let q = "child+(x, y), child+(y, z), child+(x, z)";
+        assert_eq!(strategy(q), Strategy::CqXProperty(Order::Pre));
+        assert!(e.cq(q).unwrap().is_satisfiable());
         // Cyclic, NP-hard signature, non-Boolean: rewrite.
-        let r = e
-            .cq("q(z) :- child(x, y), child+(y, z), child+(x, z), label(x, r).")
-            .unwrap();
-        assert!(matches!(r.plan, CqPlan::RewriteUnion(_)));
+        assert!(matches!(
+            strategy("q(z) :- child(x, y), child+(y, z), child+(x, z), label(x, r)."),
+            Strategy::CqRewriteUnion(_)
+        ));
         // With <pre: backtracking.
-        let b = e
-            .cq("q(x, y) :- child(z, x), child(z, y), pre_lt(x, y).")
-            .unwrap();
-        assert_eq!(b.plan, CqPlan::Backtrack);
+        assert_eq!(
+            strategy("q(x, y) :- child(z, x), child(z, y), pre_lt(x, y)."),
+            Strategy::CqBacktrack
+        );
     }
 
     #[test]
-    fn cq_plans_agree_with_backtracking() {
+    fn planned_cqs_agree_with_backtracking() {
         let t = engine_fixture();
         let e = Engine::new(&t);
         for qs in [
@@ -860,7 +739,7 @@ mod tests {
             "q(z) :- child(x, y), child+(y, z), child+(x, z), label(x, r).",
         ] {
             let q = cq::parse_cq(qs).unwrap();
-            let fast = e.eval_cq(&q);
+            let fast = e.cq(qs).unwrap();
             let slow = cq::eval_backtrack(&q, &t);
             if q.is_boolean() {
                 assert_eq!(fast.is_satisfiable(), !slow.is_empty(), "{qs}");
@@ -951,6 +830,16 @@ mod tests {
         assert_eq!(m.plan_cache_misses, 1);
         assert_eq!(m.plan_cache_hits, 2);
         assert_eq!(e.cached_plans(), 1);
+        // A forced plan runs without a lookup.
+        let ir = e.lower(&Query::xpath("//a[b]")).unwrap();
+        e.run(
+            &ir,
+            &ExplainedPlan::forced(&ir, Strategy::XPathReference, 1),
+        )
+        .unwrap();
+        let m = e.metrics();
+        assert_eq!(m.queries_executed, 4);
+        assert_eq!(m.plan_cache_hits + m.plan_cache_misses, 3);
         e.reset_metrics();
         assert_eq!(e.metrics(), MetricsSnapshot::default());
     }

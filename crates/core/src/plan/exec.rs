@@ -16,7 +16,7 @@ use treequery_xpath as xpath;
 
 use super::ir::{IrBody, QueryIr};
 use super::planner::{ExplainedPlan, Strategy};
-use crate::{CqAnswer, CqPlan, EngineError};
+use crate::{CqAnswer, EngineError};
 
 /// The result of evaluating one query through the pipeline.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -580,12 +580,9 @@ fn execute_kernels(
             let q = expect_cq(ir);
             let tuples =
                 run_acyclic_instrumented(q, tree, metrics, plan.workers).expect("planned acyclic");
-            Ok(QueryOutput::Answer(CqAnswer {
-                tuples,
-                plan: CqPlan::Acyclic,
-            }))
+            Ok(QueryOutput::Answer(CqAnswer { tuples }))
         }
-        Strategy::CqXProperty(order) => {
+        Strategy::CqXProperty(_) => {
             let q = expect_cq(ir);
             let candidates = (tree.len() as u64).saturating_mul(q.num_vars() as u64);
             Metrics::add(&metrics.candidate_nodes, candidates);
@@ -596,10 +593,7 @@ fn execute_kernels(
                 Some(_witness) => std::iter::once(Vec::new()).collect(),
                 None => BTreeSet::new(),
             };
-            Ok(QueryOutput::Answer(CqAnswer {
-                tuples,
-                plan: CqPlan::XProperty(order),
-            }))
+            Ok(QueryOutput::Answer(CqAnswer { tuples }))
         }
         Strategy::CqRewriteUnion(k) => {
             let q = expect_cq(ir);
@@ -618,10 +612,7 @@ fn execute_kernels(
                     cq::rewrite::eval_via_rewrite(q, tree).expect("planned rewritable")
                 }
             };
-            Ok(QueryOutput::Answer(CqAnswer {
-                tuples,
-                plan: CqPlan::RewriteUnion(k),
-            }))
+            Ok(QueryOutput::Answer(CqAnswer { tuples }))
         }
         Strategy::CqBacktrack => {
             let q = expect_cq(ir);
@@ -630,10 +621,7 @@ fn execute_kernels(
             let (tuples, stats) = cq::eval_backtrack_with_stats(q, tree);
             Metrics::add(&metrics.backtrack_assignments, stats.assignments);
             span.record_u64("assignments", stats.assignments);
-            Ok(QueryOutput::Answer(CqAnswer {
-                tuples,
-                plan: CqPlan::Backtrack,
-            }))
+            Ok(QueryOutput::Answer(CqAnswer { tuples }))
         }
         Strategy::DatalogGround => {
             let prog = match &ir.body {
@@ -696,7 +684,6 @@ mod tests {
             "r(a(b) a(c))",
         );
         let answer = out.answer().unwrap();
-        assert_eq!(answer.plan, CqPlan::Acyclic);
         assert_eq!(answer.tuples.len(), 1);
         assert_eq!(m.semijoin_passes, 6, "2 passes per atom");
         assert!(m.candidate_nodes > 0);

@@ -116,6 +116,32 @@ pub struct ExplainedPlan {
 }
 
 impl ExplainedPlan {
+    /// A plan that runs `strategy` on `workers` threads (at least one),
+    /// bypassing both the planner and the parallelism policy — what a
+    /// caller hands [`Engine::run`](crate::Engine::run) to force a route.
+    /// The differential fuzzer and the benchmark suite pin strategies this
+    /// way.
+    ///
+    /// The strategy must be in [`applicable_strategies`] for the IR;
+    /// running an inapplicable one (e.g. the acyclic-CQ route without a
+    /// Proposition 4.2 lowering, or arc-consistency on a non-tractable
+    /// query) panics in the executor. Note [`Strategy::CqXProperty`]
+    /// answers only the Boolean question — its tuple set is `{()}` or `{}`
+    /// even for queries with a head.
+    pub fn forced(ir: &QueryIr, strategy: Strategy, workers: usize) -> ExplainedPlan {
+        let workers = workers.max(1);
+        ExplainedPlan {
+            source: ir.source,
+            strategy,
+            cost: CostClass::Linear,
+            estimated_work: 0,
+            rationale: format!("forced by caller: {strategy}"),
+            workers,
+            parallel_rationale: format!("forced by caller: {workers} workers"),
+            query_fingerprint: ir.fingerprint,
+        }
+    }
+
     /// Fills in the parallelism half of the plan: how many workers the
     /// executor may use and why. Strategies without a partitionable
     /// kernel, trees below [`PlannerConfig::parallel_threshold`], and
@@ -220,7 +246,7 @@ fn saturating_pow(base: u64, exp: usize) -> u64 {
 }
 
 /// Every strategy that is *correct* for this IR — the set a differential
-/// tester may force via `Engine::eval_ir_via` and expect agreeing answers
+/// tester may force via [`ExplainedPlan::forced`] and expect agreeing answers
 /// from. The planner's choice is always a member: the planner optimizes
 /// *within* this set, it never changes semantics.
 ///

@@ -2,8 +2,9 @@
 //!
 //! A case is lowered once to the shared IR; `applicable_strategies`
 //! (the planner's own notion of which strategies are *correct* for the
-//! IR) gives the executor list, and each is forced via
-//! `Engine::eval_ir_via` under every configured worker count. XPath
+//! IR) gives the executor list, and each is forced — an
+//! `ExplainedPlan::forced` plan handed to `Engine::run` — under every
+//! configured worker count. XPath
 //! cases additionally run through the streaming automaton path when the
 //! query is streamable (directly or after the Section 5 forward
 //! rewrite); datalog cases are cross-checked against naive evaluation
@@ -19,7 +20,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use treequery_core::plan::QueryOutput;
-use treequery_core::{streaming, Engine, NodeId, Strategy};
+use treequery_core::{streaming, Engine, ExplainedPlan, NodeId, QueryIr, Strategy};
 
 use crate::{CaseQuery, FuzzCase};
 
@@ -172,30 +173,8 @@ fn normalize(out: QueryOutput) -> Norm {
 /// second tuple element so campaigns can count real work.
 pub fn differential_check(case: &FuzzCase, opts: &DiffOptions) -> (Option<Discrepancy>, usize) {
     let ir = case.query.lower();
-    let strategies = treequery_core::applicable_strategies(&ir);
     let engine = Engine::new(&case.tree);
-    let mut results: Vec<(String, Norm)> = Vec::new();
-
-    for &s in &strategies {
-        for &w in &opts.worker_counts {
-            let out = engine
-                .eval_ir_via(&ir, s, w)
-                .expect("forced applicable strategy must not fail");
-            let mut norm = normalize(out);
-            if let Some(c) = opts.corrupt {
-                if c.strategy == s {
-                    norm = c.apply(norm);
-                }
-            }
-            results.push((format!("{s} [workers={w}]"), norm));
-        }
-    }
-
-    // The planner's own (uncorrupted) choice, as one more executor.
-    let planned = engine
-        .eval_ir(&ir)
-        .expect("planner evaluation must not fail");
-    results.push(("planner".into(), normalize(planned)));
+    let mut results = strategy_runs(&engine, &ir, opts, None, |n| n);
 
     if let CaseQuery::XPath(p) = &case.query {
         if opts.check_streaming {
@@ -240,6 +219,40 @@ pub fn differential_check(case: &FuzzCase, opts: &DiffOptions) -> (Option<Discre
         }
     }
     (None, checks)
+}
+
+/// Every applicable strategy forced at every configured worker count,
+/// then the planner's own (uncorrupted) choice, as one more executor:
+/// labelled outputs, normalized and mapped through `coord` (the
+/// coordinates the comparison uses). `step` tags the labels of the edit
+/// differential's runs.
+fn strategy_runs(
+    engine: &Engine<'_>,
+    ir: &QueryIr,
+    opts: &DiffOptions,
+    step: Option<usize>,
+    coord: impl Fn(Norm) -> Norm,
+) -> Vec<(String, Norm)> {
+    let at = step.map(|s| format!(", step {s}")).unwrap_or_default();
+    let mut results = Vec::new();
+    for s in treequery_core::applicable_strategies(ir) {
+        for &w in &opts.worker_counts {
+            let out = engine
+                .run(ir, &ExplainedPlan::forced(ir, s, w))
+                .expect("forced applicable strategy must not fail");
+            let mut norm = coord(normalize(out));
+            if let Some(c) = opts.corrupt.filter(|c| c.strategy == s) {
+                norm = c.apply(norm);
+            }
+            results.push((format!("{s} [workers={w}{at}]"), norm));
+        }
+    }
+    let planned = engine
+        .run(ir, &engine.plan(ir))
+        .expect("planner evaluation must not fail");
+    let label = step.map_or("planner".to_owned(), |s| format!("planner [step {s}]"));
+    results.push((label, coord(normalize(planned))));
+    results
 }
 
 fn sorted_nodes(t: &treequery_core::Tree, set: &treequery_core::NodeSet) -> Vec<NodeId> {
@@ -293,7 +306,6 @@ pub fn edit_differential_check(
     use treequery_core::{parse_term, Document};
 
     let ir = case.query.lower();
-    let strategies = treequery_core::applicable_strategies(&ir);
     let mut doc = Document::new(case.tree.clone());
     let mut xasr = Xasr::from_tree(doc.tree());
     let watch = match &case.query {
@@ -314,34 +326,15 @@ pub fn edit_differential_check(
             &rebuilt,
             normalize(
                 oracle
-                    .eval_ir(&ir)
+                    .run(&ir, &oracle.plan(&ir))
                     .expect("oracle evaluation must not fail"),
             ),
         );
 
         let live = doc.engine();
-        let mut results: Vec<(String, Norm)> = Vec::new();
-        for &s in &strategies {
-            for &w in &opts.worker_counts {
-                let out = live
-                    .eval_ir_via(&ir, s, w)
-                    .expect("forced applicable strategy must not fail");
-                let mut norm = pre_rank_norm(doc.tree(), normalize(out));
-                if let Some(c) = opts.corrupt {
-                    if c.strategy == s {
-                        norm = c.apply(norm);
-                    }
-                }
-                results.push((format!("{s} [workers={w}, step {step}]"), norm));
-            }
-        }
-        results.push((
-            format!("planner [step {step}]"),
-            pre_rank_norm(
-                doc.tree(),
-                normalize(live.eval_ir(&ir).expect("planner evaluation must not fail")),
-            ),
-        ));
+        let mut results = strategy_runs(&live, &ir, opts, Some(step), |n| {
+            pre_rank_norm(doc.tree(), n)
+        });
         if let Some(id) = watch {
             let ranks = doc
                 .watched(id)

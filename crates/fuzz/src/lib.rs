@@ -15,10 +15,10 @@
 //!    predicate insert/delete, label rename, subtree splice) that keep
 //!    inputs well-formed while exploring the grammar neighbourhood.
 //! 3. **Differential executor** ([`diff`]): runs one input through every
-//!    applicable strategy (via [`treequery_core::plan::applicable_strategies`]
-//!    and `Engine::eval_ir_via`), across worker counts, plus the streaming
-//!    path for XPath and the naive/TMNF cross-checks for datalog, and
-//!    reports any disagreement.
+//!    applicable strategy (via [`treequery_core::plan::applicable_strategies`],
+//!    each forced as an `ExplainedPlan::forced` plan through `Engine::run`),
+//!    across worker counts, plus the streaming path for XPath and the
+//!    naive/TMNF cross-checks for datalog, and reports any disagreement.
 //! 4. **Metamorphic oracles** ([`oracle`]): algebraic laws from the paper
 //!    (forward-axis rewrite equivalence, `descendant = child⁺` unfolding,
 //!    self-join idempotence, monotonicity under subtree insertion,

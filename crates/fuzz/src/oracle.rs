@@ -113,8 +113,9 @@ impl std::fmt::Display for LawViolation {
 
 fn eval_norm(tree: &Tree, query: &CaseQuery) -> Norm {
     let engine = Engine::new(tree);
+    let ir = query.lower();
     let out = engine
-        .eval_ir(&query.lower())
+        .run(&ir, &engine.plan(&ir))
         .expect("lowered query must evaluate");
     match out {
         QueryOutput::Nodes(v) => Norm::Nodes(v),

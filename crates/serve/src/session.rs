@@ -39,7 +39,7 @@ use rand::SeedableRng;
 use treequery_core::{CancelReason, CostClass, EngineError, Query, QueryOutput};
 use treequery_obs::{flight, span, write_u64, Json};
 use treequery_tree::{
-    parse_script, parse_term, xmark_document, CancelToken, NodeId, Tree, XmarkConfig,
+    cancel, parse_script, parse_term, xmark_document, CancelToken, NodeId, Tree, XmarkConfig,
 };
 
 use crate::admission::AdmissionVerdict;
@@ -389,6 +389,12 @@ fn fingerprint_hex(fp: u64) -> String {
     format!("{fp:016x}")
 }
 
+/// The tallest tree `load` accepts. Building a document labels every
+/// node with its root path (`O(height²)` memory on a chain) and some
+/// traversals recurse on depth, so a deeper tree is refused before it is
+/// built.
+const MAX_LOAD_HEIGHT: u32 = 4096;
+
 fn verb_load(shared: &Shared, req: &Json) -> Json {
     let name = match need_str(req, "name") {
         Ok(n) => n,
@@ -418,6 +424,15 @@ fn verb_load(shared: &Shared, req: &Json) -> Json {
             "load needs 'term' (term syntax) or 'xmark' (node count)",
         );
     };
+    if tree.height() > MAX_LOAD_HEIGHT {
+        return proto::error(
+            ErrorCode::TooDeep,
+            format!(
+                "tree height {} exceeds the limit of {MAX_LOAD_HEIGHT}",
+                tree.height()
+            ),
+        );
+    }
     match shared.catalog.load(name, tree) {
         Ok(info) => proto::ok()
             .set("doc", info.name)
@@ -567,11 +582,13 @@ fn verb_query(
             doc.read().expect("document poisoned")
         };
         let engine = doc.engine();
-        // Lower + plan first: parse errors answer immediately, and the
-        // plan's cost class is what admission keys on.
-        let query_error = |e: EngineError| proto::error(ErrorCode::QueryError, e.to_string());
-        let ir = engine.lower(&query).map_err(query_error)?;
-        let plan = engine.explain(&query).map_err(query_error)?;
+        // Lower + plan once, first: parse errors answer immediately, the
+        // plan's cost class is what admission keys on, and the admitted
+        // plan is the one that runs.
+        let ir = engine
+            .lower(&query)
+            .map_err(|e| proto::error(ErrorCode::QueryError, e.to_string()))?;
+        let plan = engine.plan(&ir);
 
         let token = match deadline_ms {
             Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
@@ -606,7 +623,9 @@ fn verb_query(
             admission_wait_ns,
         };
         let started = Instant::now();
-        let result = flight::with_request_ctx(ctx, || engine.eval_ir_with_cancel(&ir, &token));
+        let result = flight::with_request_ctx(ctx, || {
+            cancel::with_token(&token, || engine.run(&ir, &plan))
+        });
         let wall_ns = started.elapsed().as_nanos() as u64;
         let answer = result.map_err(|e| engine_error_json(&e, id))?;
         let row_count = match &answer {

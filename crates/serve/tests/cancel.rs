@@ -8,7 +8,9 @@ mod util;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use treequery_core::{plan, CancelReason, Document, Engine, EngineConfig, EngineError, Query};
+use treequery_core::{
+    plan, CancelReason, Document, Engine, EngineConfig, EngineError, ExplainedPlan, Query,
+};
 use treequery_obs::Json;
 use treequery_tree::{cancel, parse_term, CancelToken, Tree, TreeBuilder};
 use util::{code, expect_ok, spawn, TestConn};
@@ -199,7 +201,7 @@ proptest! {
         let token = CancelToken::new();
         token.cancel();
         let before = doc.metrics().snapshot();
-        let r = doc.engine().eval_with_cancel(&q, &token);
+        let r = cancel::with_token(&token, || doc.engine().eval(&q));
         prop_assert!(
             matches!(r, Err(EngineError::Cancelled(CancelReason::Cancelled))),
             "expected Cancelled, got {r:?}"
@@ -209,7 +211,7 @@ proptest! {
 
         // Re-run on the same (shared-cache) document vs a fresh engine.
         let live = CancelToken::new();
-        let warm = doc.engine().eval_with_cancel(&q, &live).unwrap();
+        let warm = cancel::with_token(&live, || doc.engine().eval(&q)).unwrap();
         let fresh = Engine::new(&t).eval(&q).unwrap();
         prop_assert_eq!(&warm, &fresh);
         prop_assert_eq!(format!("{warm:?}"), format!("{fresh:?}"));
@@ -228,7 +230,7 @@ proptest! {
         let q = mk_query(lang, text);
         let doc = Document::new(t.clone());
         let token = CancelToken::with_deadline(Duration::from_micros(deadline_us));
-        match doc.engine().eval_with_cancel(&q, &token) {
+        match cancel::with_token(&token, || doc.engine().eval(&q)) {
             Ok(out) => {
                 let fresh = Engine::new(&t).eval(&q).unwrap();
                 prop_assert_eq!(out, fresh);
@@ -272,9 +274,9 @@ fn cancelled_queries_free_pool_workers() {
     }
 }
 
-/// Satellite 3's pin: `eval_ir_via` — the entry point `harness fuzz` and
-/// `bench` route through — observes the ambient token for *every*
-/// applicable strategy. One kernel code path; no cancellation-free
+/// `Engine::run` with a forced plan — how `harness fuzz` and `bench`
+/// pin strategies — observes the ambient token for *every* applicable
+/// strategy. One kernel code path; no cancellation-free
 /// clone.
 #[test]
 fn every_applicable_strategy_observes_the_ambient_token() {
@@ -291,7 +293,8 @@ fn every_applicable_strategy_observes_the_ambient_token() {
         for strategy in plan::applicable_strategies(&ir) {
             let token = CancelToken::new();
             token.cancel();
-            let r = cancel::with_token(&token, || engine.eval_ir_via(&ir, strategy, 1));
+            let forced = ExplainedPlan::forced(&ir, strategy, 1);
+            let r = cancel::with_token(&token, || engine.run(&ir, &forced));
             assert!(
                 matches!(r, Err(EngineError::Cancelled(CancelReason::Cancelled))),
                 "strategy {strategy:?} ignored the token: {r:?}"

@@ -117,6 +117,56 @@ fn deeply_nested_frames_are_too_deep_and_the_server_keeps_serving() {
     server.shutdown().unwrap();
 }
 
+/// An XPath query nested 100,000 qualifiers deep is refused with a
+/// query error; parsing it used to overflow the session thread's stack.
+#[test]
+fn deeply_nested_xpath_is_refused_and_the_server_keeps_serving() {
+    let server = spawn();
+    let mut conn = TestConn::hello(server.port());
+    expect_ok(
+        conn.request(
+            Json::obj()
+                .set("verb", "load")
+                .set("name", "d")
+                .set("term", "r(a(a) b)"),
+        ),
+    );
+    let text = format!("//a{}{}", "[a".repeat(100_000), "]".repeat(100_000));
+    let resp = conn.request(
+        Json::obj()
+            .set("verb", "query")
+            .set("doc", "d")
+            .set("lang", "xpath")
+            .set("text", text),
+    );
+    assert_eq!(code(&resp), Some("query_error"), "{}", resp.render());
+    expect_ok(conn.request(Json::obj().set("verb", "list")));
+    server.shutdown().unwrap();
+}
+
+/// A `load` of a 100,000-deep chain is refused as too deep before the
+/// document is built; building it used to overflow the stack (and label
+/// the chain in quadratic memory).
+#[test]
+fn too_deep_trees_are_refused_at_load_and_the_server_keeps_serving() {
+    let server = spawn();
+    let mut conn = TestConn::hello(server.port());
+    let term = format!("{}b{}", "a(".repeat(100_000), ")".repeat(100_000));
+    let resp = conn.request(
+        Json::obj()
+            .set("verb", "load")
+            .set("name", "deep")
+            .set("term", term),
+    );
+    assert_eq!(code(&resp), Some("too_deep"), "{}", resp.render());
+    let list = expect_ok(conn.request(Json::obj().set("verb", "list")));
+    assert_eq!(
+        list.get("docs").and_then(Json::as_arr).map(<[_]>::len),
+        Some(0)
+    );
+    server.shutdown().unwrap();
+}
+
 /// A reply too large for one socket buffer must not wait out the
 /// client's delayed-ACK timer (~40 ms): it leaves in one write, with
 /// `TCP_NODELAY` set.
@@ -246,6 +296,15 @@ fn metrics_verb_returns_valid_exposition_with_per_verb_counters() {
         text.contains("treequery_engine_queries_executed 1"),
         "{text}"
     );
+    // The one query was lowered once and looked up in the plan cache
+    // once: admission and execution share one plan.
+    for line in [
+        "treequery_engine_queries_lowered 1\n",
+        "treequery_engine_plan_cache_misses 1\n",
+        "treequery_engine_plan_cache_hits 0\n",
+    ] {
+        assert!(text.contains(line), "{line:?} missing:\n{text}");
+    }
     // Every engine counter is exported, typed as a counter.
     for counter in [
         "queries_lowered",

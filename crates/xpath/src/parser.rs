@@ -35,9 +35,16 @@ impl std::fmt::Display for XPathParseError {
 
 impl std::error::Error for XPathParseError {}
 
+/// The deepest bracket nesting — `(`…`)`, `[`…`]`, `not(`…`)` — the
+/// parser accepts. The grammar is parsed by recursive descent, so the
+/// bound is what keeps a hostile expression from exhausting the stack.
+const MAX_NESTING: usize = 128;
+
 struct P<'a> {
     input: &'a str,
     pos: usize,
+    /// Brackets open at `pos`.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
@@ -46,6 +53,21 @@ impl<'a> P<'a> {
             offset: self.pos,
             message: message.into(),
         })
+    }
+
+    /// Parses the inside of one bracket level with `f`, refusing to go
+    /// deeper than [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, XPathParseError>,
+    ) -> Result<T, XPathParseError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("brackets nested deeper than {MAX_NESTING}"));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn ws(&mut self) {
@@ -94,7 +116,12 @@ impl<'a> P<'a> {
 
     /// union := sequence ( '|' sequence )*
     fn union(&mut self) -> Result<Path, XPathParseError> {
-        let mut p = self.sequence()?;
+        let p = self.sequence()?;
+        self.union_rest(p)
+    }
+
+    /// The `( '|' sequence )*` tail of a union whose first sequence is `p`.
+    fn union_rest(&mut self, mut p: Path) -> Result<Path, XPathParseError> {
         loop {
             self.ws();
             if self.eat("|") || self.eat("∪") {
@@ -118,7 +145,13 @@ impl<'a> P<'a> {
         } else {
             let _ = self.eat("/");
         }
-        let mut p = self.step(descendant_prefix)?;
+        let p = self.step(descendant_prefix)?;
+        self.sequence_rest(p)
+    }
+
+    /// The `( ('/' | '//') step )*` tail of a sequence whose first step is
+    /// `p`.
+    fn sequence_rest(&mut self, mut p: Path) -> Result<Path, XPathParseError> {
         loop {
             self.ws();
             if self.peek_str("//") {
@@ -142,8 +175,8 @@ impl<'a> P<'a> {
     /// appear, e.g. `x/(a | b)/y`.
     fn step(&mut self, descendant: bool) -> Result<Path, XPathParseError> {
         self.ws();
-        let mut path = if self.eat("(") {
-            let inner = self.union()?;
+        let path = if self.eat("(") {
+            let inner = self.nested(Self::union)?;
             if !self.eat(")") {
                 return self.err("expected ')' after path group");
             }
@@ -190,8 +223,13 @@ impl<'a> P<'a> {
                 Path::labeled_step(axis, n)
             }
         };
+        self.filters(path)
+    }
+
+    /// The `('[' qual ']')*` filters after a step.
+    fn filters(&mut self, mut path: Path) -> Result<Path, XPathParseError> {
         while self.eat("[") {
-            let q = self.qual()?;
+            let q = self.nested(Self::qual)?;
             if !self.eat("]") {
                 return self.err("expected ']'");
             }
@@ -244,13 +282,23 @@ impl<'a> P<'a> {
         false
     }
 
+    /// Eats the keyword of a call form (`not(`, `lab(`) only when its
+    /// `(` follows, so a path may start with a step named `not` or `lab`
+    /// — every path must also read as a qualifier (see `unary_qual`).
+    fn eat_call(&mut self, w: &str) -> bool {
+        let save = self.pos;
+        if self.eat_word(w) && self.peek_str("(") {
+            return true;
+        }
+        self.pos = save;
+        false
+    }
+
     fn unary_qual(&mut self) -> Result<Qual, XPathParseError> {
         self.ws();
-        if self.eat_word("not") {
-            if !self.eat("(") {
-                return self.err("expected '(' after not");
-            }
-            let q = self.qual()?;
+        if self.eat_call("not") {
+            self.eat("(");
+            let q = self.nested(Self::qual)?;
             if !self.eat(")") {
                 return self.err("expected ')'");
             }
@@ -259,20 +307,27 @@ impl<'a> P<'a> {
         if self.peek_str("(") {
             // Ambiguous: `(...)` may group a qualifier (`(a and b)`) or
             // start a path whose head is a parenthesized group
-            // (`(a | b)/c`). Try the qualifier reading; if the close
-            // paren is followed by more path syntax, re-parse as a path.
-            let save = self.pos;
+            // (`(a | b)/c`). Every path parses as a qualifier too, so
+            // read a qualifier; if the close paren is followed by more
+            // path syntax, the group was a path's head step and the path
+            // continues from it. (Re-parsing the group as a path instead
+            // is exponential in the nesting of such groups.)
             self.eat("(");
-            if let Ok(q) = self.qual() {
-                if self.eat(")") && !(self.peek_str("/") || self.peek_str("[")) {
-                    return Ok(q);
-                }
+            let q = self.nested(Self::qual)?;
+            if !self.eat(")") {
+                return self.err("expected ')'");
             }
-            self.pos = save;
-            let p = self.union()?;
-            return Ok(Qual::Path(p));
+            if !(self.peek_str("/") || self.peek_str("[")) {
+                return Ok(q);
+            }
+            let Qual::Path(head) = q else {
+                return self.err("a qualifier group cannot start a path");
+            };
+            let p = self.filters(head)?;
+            let p = self.sequence_rest(p)?;
+            return Ok(Qual::Path(self.union_rest(p)?));
         }
-        if self.eat_word("lab") {
+        if self.eat_call("lab") {
             if !(self.eat("(") && self.eat(")") && self.eat("=")) {
                 return self.err("expected lab()=label");
             }
@@ -287,7 +342,11 @@ impl<'a> P<'a> {
 
 /// Parses a Core XPath expression.
 pub fn parse_xpath(input: &str) -> Result<Path, XPathParseError> {
-    let mut p = P { input, pos: 0 };
+    let mut p = P {
+        input,
+        pos: 0,
+        depth: 0,
+    };
     let path = p.union()?;
     p.ws();
     if p.pos != input.len() {
@@ -450,5 +509,51 @@ mod tests {
         assert!(parse_xpath("a[b").is_err());
         assert!(parse_xpath("a]").is_err());
         assert!(parse_xpath("a[not b]").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest =
+            |open: &str, close: &str, n: usize| format!("//a{}{}", open.repeat(n), close.repeat(n));
+        assert!(parse_xpath(&nest("[a", "]", MAX_NESTING)).is_ok());
+        for (open, close) in [("[a", "]"), ("[not(a", ")]"), ("[(a", ")]"), ("/(a", ")")] {
+            let err = parse_xpath(&nest(open, close, 100_000)).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{open}: {err}");
+        }
+    }
+
+    #[test]
+    fn keywords_without_a_call_are_labels() {
+        for (src, printed) in [
+            (
+                "a[not/x]",
+                "child::*[lab()=a][child::*[lab()=not]/child::*[lab()=x]]",
+            ),
+            (
+                "a[(lab/x)/y]",
+                "child::*[lab()=a][child::*[lab()=lab]/child::*[lab()=x]/child::*[lab()=y]]",
+            ),
+        ] {
+            assert_eq!(parse_xpath(src).unwrap().to_string(), printed, "{src}");
+        }
+    }
+
+    #[test]
+    fn path_groups_in_qualifiers_parse_in_linear_time() {
+        // Each level is a qualifier group that turns out to head a path;
+        // re-parsing every such group as a path doubled the work per level.
+        let levels = MAX_NESTING / 2;
+        let q = format!("//a{}{}", "[(a".repeat(levels), ")/b]".repeat(levels));
+        let started = std::time::Instant::now();
+        let p = parse_xpath(&q).unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_secs(2));
+        assert_eq!(
+            parse_xpath(&p.to_string()).unwrap().to_string(),
+            p.to_string()
+        );
+        // Unclosed levels fail just as fast.
+        let started = std::time::Instant::now();
+        assert!(parse_xpath(&format!("//a{}", "[(a".repeat(levels))).is_err());
+        assert!(started.elapsed() < std::time::Duration::from_secs(2));
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --example datalog_extraction`.
 
-use treequery::{parse_term, Engine};
+use treequery::{parse_term, Engine, Query};
 
 fn main() {
     let page = parse_term(
@@ -60,14 +60,13 @@ fn main() {
     // The same extraction as a conjunctive query, for comparison: it needs
     // the Child axis and two label tests, and the planner runs it through
     // the acyclic machinery.
-    let cq = engine
-        .cq("q(v) :- label(v, price), child(p, v), label(p, product), \
-             child(p, s), label(s, instock), child(p, d), label(d, discount).")
-        .unwrap();
+    let text = "q(v) :- label(v, price), child(p, v), label(p, product), \
+                child(p, s), label(s, instock), child(p, d), label(d, discount).";
+    let cq = engine.cq(text).unwrap();
     println!(
-        "\nconjunctive-query route: {} tuple(s), plan {:?}",
+        "\nconjunctive-query route: {} tuple(s), plan {}",
         cq.tuples.len(),
-        cq.plan
+        engine.explain(&Query::cq(text)).unwrap().strategy
     );
     assert_eq!(cq.tuples.len(), prices.len());
 }

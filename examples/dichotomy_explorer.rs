@@ -6,7 +6,7 @@
 //! Run with `cargo run --example dichotomy_explorer`.
 
 use treequery::cq::{self, dichotomy::classify_axes, Tractability};
-use treequery::{parse_term, Axis, Engine};
+use treequery::{parse_term, Axis, Engine, Query};
 
 fn main() {
     let axes = [
@@ -71,17 +71,23 @@ fn main() {
 
     let tractable_q = "child+(x, y), child+(y, z), child+(x, z)";
     let a = engine.cq(tractable_q).unwrap();
+    let plan = engine.explain(&Query::cq(tractable_q)).unwrap();
     println!("\n[{tractable_q}]");
-    println!("  plan {:?}, satisfiable: {}", a.plan, a.is_satisfiable());
+    println!(
+        "  plan {}, satisfiable: {}",
+        plan.strategy,
+        a.is_satisfiable()
+    );
 
     let hard_q = "child(x, y), child(y, z), child+(x, z), label(x, r)";
     let q = cq::parse_cq(hard_q).unwrap();
     println!("[{hard_q}]");
     println!("  classifier: {:?}", cq::classify(&q));
     let b = engine.cq(hard_q).unwrap();
+    let plan = engine.explain(&Query::cq(hard_q)).unwrap();
     println!(
-        "  evaluated anyway via {:?}: satisfiable = {}",
-        b.plan,
+        "  evaluated anyway via {}: satisfiable = {}",
+        plan.strategy,
         b.is_satisfiable()
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use treequery::{cq, parse_term, streaming, Engine, XPathStrategy};
+use treequery::{cq, parse_term, streaming, Engine, ExplainedPlan, Query, Strategy};
 
 fn main() {
     // A small document in the term syntax (see also `parse_xml`).
@@ -24,31 +24,35 @@ fn main() {
         );
     }
     // The same query through the monadic-datalog engine (Theorem 3.2).
+    // Forcing a strategy bypasses the planner: lower once, then run a
+    // forced plan.
+    let ir = engine.lower(&Query::xpath("//book[author]")).unwrap();
     let via_datalog = engine
-        .xpath_via("//book[author]", XPathStrategy::Datalog)
+        .run(
+            &ir,
+            &ExplainedPlan::forced(&ir, Strategy::XPathViaDatalog, 1),
+        )
         .unwrap();
-    assert_eq!(with_author, via_datalog);
+    assert_eq!(via_datalog.nodes(), Some(&with_author[..]));
     println!("the monadic datalog route agrees ✓");
 
     // --- Conjunctive queries ---
-    let answer = engine
-        .cq("q(s, b) :- label(s, shelf), child(s, b), label(b, book).")
-        .unwrap();
+    let pairs = "q(s, b) :- label(s, shelf), child(s, b), label(b, book).";
+    let answer = engine.cq(pairs).unwrap();
     println!(
-        "\nshelf/book pairs: {} (plan: {:?})",
+        "\nshelf/book pairs: {} (plan: {})",
         answer.tuples.len(),
-        answer.plan
+        engine.explain(&Query::cq(pairs)).unwrap().strategy
     );
 
     // A cyclic query over the τ1 signature: Theorem 6.5 evaluates it in
     // linear time via arc-consistency + minimum valuation.
-    let cyclic = engine
-        .cq("child+(x, y), child+(y, z), child+(x, z), label(z, title)")
-        .unwrap();
+    let triangle = "child+(x, y), child+(y, z), child+(x, z), label(z, title)";
+    let cyclic = engine.cq(triangle).unwrap();
     println!(
-        "cyclic τ1 query satisfiable: {} (plan: {:?})",
+        "cyclic τ1 query satisfiable: {} (plan: {})",
         cyclic.is_satisfiable(),
-        cyclic.plan
+        engine.explain(&Query::cq(triangle)).unwrap().strategy
     );
 
     // --- Monadic datalog (Example 3.1 pattern) ---

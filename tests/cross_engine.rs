@@ -3,7 +3,18 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use treequery::tree::{random_recursive_tree, xmark_document, XmarkConfig};
-use treequery::{cq, parse_term, streaming, xpath, Engine, Tree, XPathStrategy};
+use treequery::{
+    cq, parse_term, streaming, xpath, Engine, ExplainedPlan, NodeId, Query, Strategy, Tree,
+};
+
+/// Evaluates the XPath query `q` with `strategy` forced.
+fn xpath_forced(e: &Engine<'_>, q: &str, strategy: Strategy) -> Vec<NodeId> {
+    let ir = e.lower(&Query::xpath(q)).unwrap();
+    let out = e
+        .run(&ir, &ExplainedPlan::forced(&ir, strategy, 1))
+        .unwrap();
+    out.nodes().expect("XPath answers are node sets").to_vec()
+}
 
 fn random_trees(n: usize, size: usize) -> Vec<Tree> {
     let mut rng = StdRng::seed_from_u64(0xC0DE);
@@ -29,12 +40,12 @@ fn xpath_strategies_agree_on_random_trees() {
         for q in queries {
             let base = e.xpath(q).unwrap();
             assert_eq!(
-                e.xpath_via(q, XPathStrategy::Reference).unwrap(),
+                xpath_forced(&e, q, Strategy::XPathReference),
                 base,
                 "reference: {q} on {t}"
             );
             assert_eq!(
-                e.xpath_via(q, XPathStrategy::Datalog).unwrap(),
+                xpath_forced(&e, q, Strategy::XPathViaDatalog),
                 base,
                 "datalog: {q} on {t}"
             );
@@ -51,7 +62,7 @@ fn conjunctive_xpath_agrees_through_cq() {
         let e = Engine::new(&t);
         for q in queries {
             assert_eq!(
-                e.xpath_via(q, XPathStrategy::AcyclicCq).unwrap(),
+                xpath_forced(&e, q, Strategy::XPathViaAcyclicCq),
                 e.xpath(q).unwrap(),
                 "{q} on {t}"
             );
@@ -96,7 +107,7 @@ fn cq_techniques_agree_with_backtracking() {
         let e = Engine::new(&t);
         for qs in queries {
             let q = cq::parse_cq(qs).unwrap();
-            let fast = e.eval_cq(&q);
+            let fast = e.cq(qs).unwrap();
             let slow = cq::eval_backtrack(&q, &t);
             if q.is_boolean() {
                 assert_eq!(fast.is_satisfiable(), !slow.is_empty(), "{qs} on {t}");

@@ -9,7 +9,7 @@ mod common;
 
 use common::{cq_strategy, path_strategy, rooted, tree_strategy};
 use proptest::prelude::*;
-use treequery::{Engine, EngineConfig, PlannerConfig, Tree};
+use treequery::{Engine, EngineConfig, PlannerConfig, QueryIr, QueryOutput, Tree};
 
 fn engine_with_workers(tree: &Tree, workers: usize) -> Engine<'_> {
     Engine::with_config(
@@ -28,6 +28,12 @@ fn engine_with_workers(tree: &Tree, workers: usize) -> Engine<'_> {
     )
 }
 
+/// Plans and runs `ir` on an engine granted `workers` workers.
+fn eval_with_workers(tree: &Tree, workers: usize, ir: &QueryIr) -> QueryOutput {
+    let engine = engine_with_workers(tree, workers);
+    engine.run(ir, &engine.plan(ir)).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -36,10 +42,9 @@ proptest! {
     fn parallel_xpath_equals_sequential(p in path_strategy(), t in tree_strategy(16)) {
         let p = rooted(p);
         let ir = treequery::plan::ir::lower_path(&p);
-        let sequential = engine_with_workers(&t, 1).eval_ir(&ir).unwrap();
+        let sequential = eval_with_workers(&t, 1, &ir);
         for workers in [2usize, 8] {
-            let engine = engine_with_workers(&t, workers);
-            let parallel = engine.eval_ir(&ir).unwrap();
+            let parallel = eval_with_workers(&t, workers, &ir);
             prop_assert_eq!(
                 &parallel, &sequential,
                 "query {} at {} workers", p, workers
@@ -51,12 +56,13 @@ proptest! {
     /// rewrite-union route when the random query is cyclic).
     #[test]
     fn parallel_cq_equals_sequential(q in cq_strategy(4), t in tree_strategy(12)) {
-        let sequential = engine_with_workers(&t, 1).eval_cq(&q);
+        let ir = treequery::plan::ir::lower_cq(&q);
+        let sequential = eval_with_workers(&t, 1, &ir);
         for workers in [2usize, 8] {
-            let parallel = engine_with_workers(&t, workers).eval_cq(&q);
+            let parallel = eval_with_workers(&t, workers, &ir);
             prop_assert_eq!(
-                &parallel.tuples, &sequential.tuples,
-                "{} workers, plan {:?}", workers, parallel.plan
+                &parallel, &sequential,
+                "{} workers, query {}", workers, q
             );
         }
     }

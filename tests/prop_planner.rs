@@ -19,7 +19,7 @@ proptest! {
         let p = rooted(p);
         let engine = Engine::new(&t);
         let ir = treequery::plan::ir::lower_path(&p);
-        let got = engine.eval_ir(&ir).unwrap();
+        let got = engine.run(&ir, &engine.plan(&ir)).unwrap();
         let got = got.nodes().expect("xpath answers are node sets");
         let mut expect = eval_reference(&p, &t).to_vec();
         t.sort_by_pre(&mut expect);
@@ -30,9 +30,11 @@ proptest! {
     #[test]
     fn planned_cq_equals_backtrack(q in cq_strategy(4), t in tree_strategy(12)) {
         let engine = Engine::new(&t);
-        let fast = engine.eval_cq(&q);
+        let ir = treequery::plan::ir::lower_cq(&q);
+        let plan = engine.plan(&ir);
+        let fast = engine.run(&ir, &plan).unwrap();
         let slow = cq::eval_backtrack(&q, &t);
-        prop_assert_eq!(&fast.tuples, &slow, "plan {:?}", fast.plan);
+        prop_assert_eq!(&fast.answer().unwrap().tuples, &slow, "plan {:?}", plan.strategy);
     }
 
     /// Executing through a cached plan is transparent: the second run (a
@@ -41,9 +43,9 @@ proptest! {
     fn cached_plan_reexecution_is_identical(p in path_strategy(), t in tree_strategy(14)) {
         let ir = treequery::plan::ir::lower_path(&rooted(p));
         let engine = Engine::new(&t);
-        let first = engine.eval_ir(&ir).unwrap();
+        let first = engine.run(&ir, &engine.plan(&ir)).unwrap();
         let hits_before = engine.metrics().plan_cache_hits;
-        let second = engine.eval_ir(&ir).unwrap();
+        let second = engine.run(&ir, &engine.plan(&ir)).unwrap();
         prop_assert_eq!(&first, &second);
         prop_assert!(engine.metrics().plan_cache_hits > hits_before);
     }

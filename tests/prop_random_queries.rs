@@ -134,9 +134,11 @@ proptest! {
     #[test]
     fn random_cq_via_planner(q in cq_strategy(4), t in tree_strategy(12)) {
         let engine = treequery::Engine::new(&t);
-        let fast = engine.eval_cq(&q);
+        let ir = treequery::plan::ir::lower_cq(&q);
+        let plan = engine.plan(&ir);
+        let fast = engine.run(&ir, &plan).unwrap();
         let slow = cq::eval_backtrack(&q, &t);
-        prop_assert_eq!(&fast.tuples, &slow, "plan {:?}", fast.plan);
+        prop_assert_eq!(&fast.answer().unwrap().tuples, &slow, "plan {:?}", plan.strategy);
     }
 
     /// The maximal arc-consistent pre-valuation always over-approximates

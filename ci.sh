@@ -40,9 +40,10 @@ echo "==> disabled-span + counting-allocator overhead gate"
 cargo run -p treequery-bench --release --bin harness -q -- --check-noop-overhead
 
 echo "==> zero-alloc steady-state gate (workers 1 and 4)"
-# The executor kernels (sweep, semijoin, structural join, union merge)
-# must not allocate on a warm run; asserted via AllocScope attribution
-# at both worker counts, under both pool-sizing env settings.
+# The executor kernels (sweep, semijoin, union merge), called the way the
+# executor calls them, must not allocate on a warm run; asserted via
+# AllocScope attribution at both worker counts, under both pool-sizing
+# env settings.
 TREEQUERY_WORKERS=1 cargo test -q -p treequery-core --test zero_alloc
 TREEQUERY_WORKERS=4 cargo test -q -p treequery-core --test zero_alloc
 

@@ -3,19 +3,14 @@
 //! asserted identical (same bytes, same order) to sequential inside the
 //! experiment.
 //!
-//! Two workloads, both at ≥64k nodes: the E12 structural join (chunked
-//! Stack-Tree-Desc with stitched stack seeds) and the E10 XPath sweep
-//! run through the engine with the planner's parallelism decision forced
-//! to 1 / 2 / 4 workers.
+//! The workload is the E10 XPath sweep at ≥64k nodes, run through the
+//! engine with the planner's parallelism decision forced to 1 / 2 / 4
+//! workers.
 
-use treequery_core::plan::par::par_stack_tree_join;
-use treequery_core::storage::stack_tree_join;
-use treequery_core::{Engine, EngineConfig, Metrics, PlannerConfig};
+use treequery_core::{Engine, EngineConfig, PlannerConfig};
 
-use super::{e10_xpath_cq, e12_structural};
+use super::e10_xpath_cq;
 use crate::util::{fmt_dur, header, median_time};
-
-const JOIN_NODES: usize = 65_536;
 
 fn machine_parallelism() -> usize {
     std::thread::available_parallelism()
@@ -41,40 +36,8 @@ pub fn run() {
     let cores = machine_parallelism();
     println!("machine parallelism: {cores} (the 2x-at-4-workers gate applies at >= 4 cores)");
 
-    // Workload 1: the E12 structural-join inputs.
-    let (_t, x) = e12_structural::workload(JOIN_NODES);
-    let la = x.label_list("a");
-    let lb = x.label_list("b");
-    let seq_out = stack_tree_join(la, lb);
-    let seq = median_time(3, || stack_tree_join(la, lb));
-    println!(
-        "\nE12 structural join: {JOIN_NODES} nodes, {} ancestors x {} descendants, {} output pairs",
-        la.len(),
-        lb.len(),
-        seq_out.len()
-    );
-    println!("{:>9} {:>12} {:>9}", "workers", "time", "speedup");
-    println!("{:>9} {:>12} {:>9}", 1, fmt_dur(seq), "1.00x");
-    for w in [2usize, 4] {
-        let m = Metrics::default();
-        let par_out = par_stack_tree_join(la, lb, w, &m);
-        assert_eq!(
-            par_out, seq_out,
-            "parallel join output must equal sequential at {w} workers"
-        );
-        let t = median_time(3, || par_stack_tree_join(la, lb, w, &m));
-        let speedup = seq.as_secs_f64() / t.as_secs_f64();
-        println!("{w:>9} {:>12} {speedup:>8.2}x", fmt_dur(t));
-        if w == 4 && cores >= 4 {
-            assert!(
-                speedup >= 2.0,
-                "expected >= 2x speedup at 4 workers on {cores} cores, got {speedup:.2}x"
-            );
-        }
-    }
-
-    // Workload 2: the E10 XPath query through the engine, with the
-    // planner's parallelism decision forced per engine.
+    // The E10 XPath query through the engine, with the planner's
+    // parallelism decision forced per engine.
     let doc = e10_xpath_cq::doc(80_000);
     assert!(doc.len() >= 64_000, "XMark document too small");
     let query = e10_xpath_cq::QUERY;
@@ -110,5 +73,5 @@ pub fn run() {
             );
         }
     }
-    println!("parallel output is asserted identical to sequential in both workloads.");
+    println!("parallel output is asserted identical to sequential.");
 }

@@ -108,30 +108,19 @@ impl CqAnswer {
     }
 }
 
-/// Engine tunables. [`Default`] enables the plan cache and lets
-/// [`Engine::eval_batch`] size its worker pool from the machine.
-#[derive(Clone, Debug, PartialEq)]
+/// Engine tunables. [`Default`] lets [`Engine::eval_batch`] size its
+/// worker pool from the machine. Plans are always cached, keyed by
+/// `(query fingerprint, tree fingerprint)`.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EngineConfig {
     /// Planner cost-model knobs.
     pub planner: PlannerConfig,
-    /// Cache plans keyed by `(query fingerprint, tree fingerprint)`.
-    pub plan_cache: bool,
     /// Worker threads for [`Engine::eval_batch`]; `None` resolves to
     /// [`plan::default_workers`] (the `TREEQUERY_WORKERS` env knob, else
     /// the machine's available parallelism). The threads come from the
     /// process-wide [`plan::WorkerPool`], shared with the intra-query
     /// parallel kernels.
     pub batch_threads: Option<usize>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            planner: PlannerConfig::default(),
-            plan_cache: true,
-            batch_threads: None,
-        }
-    }
 }
 
 /// A query engine bound to one (frozen) tree.
@@ -279,9 +268,6 @@ impl<'t> Engine<'t> {
             plan::Metrics::add_planned(metrics);
             plan::plan_ir(ir, self.stats(), &self.config.planner)
         };
-        if !self.config.plan_cache {
-            return std::sync::Arc::new(compute());
-        }
         let mut span = treequery_obs::span("pipeline.cache_lookup");
         let plan =
             self.cache

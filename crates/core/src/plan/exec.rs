@@ -8,13 +8,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use treequery_cq as cq;
-use treequery_datalog as datalog;
 use treequery_obs::alloc::AllocScope;
 use treequery_obs::metrics::{MetricSnapshot, MetricValue};
 use treequery_tree::{NodeId, NodeSet, Tree};
 use treequery_xpath as xpath;
 
 use super::ir::{IrBody, QueryIr};
+use super::par::{par_datalog_eval_query, par_eval_via_rewrite, PoolSweeper};
 use super::planner::{ExplainedPlan, Strategy};
 use crate::{CqAnswer, EngineError};
 
@@ -444,9 +444,8 @@ fn sorted_nodes(t: &Tree, set: NodeSet) -> Vec<NodeId> {
 }
 
 /// Runs an acyclic CQ through the full reducer, charging the semijoin
-/// passes and reduced candidate-set sizes to `metrics`. With more than
-/// one worker the semijoin sweeps are dispatched chunk-wise through
-/// [`super::par::PoolSweeper`].
+/// passes and reduced candidate-set sizes to `metrics`. The semijoin
+/// sweeps run through [`PoolSweeper`] at `workers`.
 fn run_acyclic_instrumented(
     q: &cq::Cq,
     t: &Tree,
@@ -456,12 +455,7 @@ fn run_acyclic_instrumented(
     let e = {
         let mut span = treequery_obs::span("exec.semijoin");
         let _mem = AllocScope::enter("exec.semijoin");
-        let e = if workers > 1 {
-            let sweeper = super::par::PoolSweeper { workers, metrics };
-            cq::Enumerator::with_sweeper(q, t, &sweeper)?
-        } else {
-            cq::Enumerator::new(q, t)?
-        };
+        let e = cq::Enumerator::with_sweeper(q, t, &PoolSweeper { workers, metrics })?;
         let passes = 2 * q.atoms.len() as u64;
         Metrics::add(&metrics.semijoin_passes, passes);
         let mut candidate_total = 0u64;
@@ -538,11 +532,11 @@ fn execute_kernels(
             // kernel's steady-state behaviour (zero after warm-up).
             let set = {
                 let _mem = AllocScope::enter("exec.sweep");
-                if plan.workers > 1 {
-                    super::par::par_eval_query(p, tree, plan.workers, metrics)
-                } else {
-                    xpath::eval_query(p, tree)
-                }
+                let sweeper = PoolSweeper {
+                    workers: plan.workers,
+                    metrics,
+                };
+                xpath::eval_query_with(p, tree, &sweeper)
             };
             Ok(QueryOutput::Nodes(sorted_nodes(tree, set)))
         }
@@ -558,11 +552,7 @@ fn execute_kernels(
             span.record_u64("nodes_swept", swept);
             let set = {
                 let _mem = AllocScope::enter("exec.ground_minoux");
-                if plan.workers > 1 {
-                    super::par::par_datalog_eval_query(&prog, tree, plan.workers, metrics)
-                } else {
-                    datalog::eval_query(&prog, tree)
-                }
+                par_datalog_eval_query(&prog, tree, plan.workers, metrics)
             };
             Ok(QueryOutput::Nodes(sorted_nodes(tree, set)))
         }
@@ -605,12 +595,7 @@ fn execute_kernels(
             span.record_u64("passes", passes);
             let tuples = {
                 let _mem = AllocScope::enter("exec.union");
-                if plan.workers > 1 {
-                    super::par::par_eval_via_rewrite(q, tree, plan.workers, metrics)
-                        .expect("planned rewritable")
-                } else {
-                    cq::rewrite::eval_via_rewrite(q, tree).expect("planned rewritable")
-                }
+                par_eval_via_rewrite(q, tree, plan.workers, metrics).expect("planned rewritable")
             };
             Ok(QueryOutput::Answer(CqAnswer { tuples }))
         }
@@ -634,11 +619,7 @@ fn execute_kernels(
             span.record_u64("nodes_swept", swept);
             let set = {
                 let _mem = AllocScope::enter("exec.ground_minoux");
-                if plan.workers > 1 {
-                    super::par::par_datalog_eval_query(prog, tree, plan.workers, metrics)
-                } else {
-                    datalog::eval_query(prog, tree)
-                }
+                par_datalog_eval_query(prog, tree, plan.workers, metrics)
             };
             Ok(QueryOutput::Nodes(sorted_nodes(tree, set)))
         }

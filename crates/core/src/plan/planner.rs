@@ -188,6 +188,16 @@ impl ExplainedPlan {
     }
 }
 
+/// Prefer backtracking over a rewrite union only when the estimated
+/// brute-force work is this many times cheaper (hysteresis so plans stay
+/// stable under small estimate noise).
+const BACKTRACK_MARGIN: u64 = 4;
+
+/// Fixed setup cost charged per acyclic part of a rewrite union, in
+/// node-touch units (each part compiles its own join forest and edge
+/// indexes); this is what lets brute force win on trivially small trees.
+const REWRITE_PART_OVERHEAD: u64 = 1024;
+
 /// Tunables for the planner. `Default` gives the paper-faithful policy.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlannerConfig {
@@ -198,15 +208,6 @@ pub struct PlannerConfig {
     /// required label is *absent*, and the full reducer then refutes the
     /// query from empty candidate sets instead of sweeping the document.
     pub cq_route_max_label_count: usize,
-    /// Prefer backtracking over a rewrite union only when the estimated
-    /// brute-force work is this many times cheaper (hysteresis so plans
-    /// stay stable under small estimate noise).
-    pub backtrack_margin: u64,
-    /// Fixed setup cost charged per acyclic part of a rewrite union, in
-    /// node-touch units (each part compiles its own join forest and edge
-    /// indexes); this is what lets brute force win on trivially small
-    /// trees.
-    pub rewrite_part_overhead: u64,
     /// Worker threads parallel plans may use; `None` resolves to
     /// [`default_workers`] (the `TREEQUERY_WORKERS` env knob, else the
     /// machine's available parallelism).
@@ -225,8 +226,6 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             cq_route_max_label_count: 0,
-            backtrack_margin: 4,
-            rewrite_part_overhead: 1024,
             workers: None,
             parallel_threshold: 4096,
             slow_query_ms: None,
@@ -301,7 +300,7 @@ pub fn plan_ir(ir: &QueryIr, stats: &TreeStats, config: &PlannerConfig) -> Expla
 fn plan_strategy(ir: &QueryIr, stats: &TreeStats, config: &PlannerConfig) -> ExplainedPlan {
     match &ir.features {
         IrFeatures::Path(f) => plan_path(ir, f, stats, config),
-        IrFeatures::Cq(f) => plan_cq(ir, f, stats, config),
+        IrFeatures::Cq(f) => plan_cq(ir, f, stats),
         IrFeatures::Program(f) => ExplainedPlan {
             source: SourceLang::Datalog,
             strategy: Strategy::DatalogGround,
@@ -396,12 +395,7 @@ fn plan_path(
     }
 }
 
-fn plan_cq(
-    ir: &QueryIr,
-    f: &cq::CqFeatures,
-    stats: &TreeStats,
-    config: &PlannerConfig,
-) -> ExplainedPlan {
+fn plan_cq(ir: &QueryIr, f: &cq::CqFeatures, stats: &TreeStats) -> ExplainedPlan {
     let n = (stats.nodes as u64).max(1);
     let atoms = (f.atoms as u64).max(1);
     if f.acyclic {
@@ -449,11 +443,9 @@ fn plan_cq(
         Ok((parts, _)) => {
             let k = parts.len();
             let rewrite_work = (k as u64).saturating_mul(
-                config
-                    .rewrite_part_overhead
-                    .saturating_add((2 * atoms).saturating_mul(n)),
+                REWRITE_PART_OVERHEAD.saturating_add((2 * atoms).saturating_mul(n)),
             );
-            if backtrack_work.saturating_mul(config.backtrack_margin) < rewrite_work {
+            if backtrack_work.saturating_mul(BACKTRACK_MARGIN) < rewrite_work {
                 ExplainedPlan {
                     source: SourceLang::Cq,
                     strategy: Strategy::CqBacktrack,

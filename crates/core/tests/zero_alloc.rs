@@ -4,9 +4,10 @@
 //! and pool-worker buffers reach their final capacities), then once more
 //! inside a capture and a named [`AllocScope`]; the scope's attributed
 //! allocation count — including allocations made by pool workers on the
-//! kernel's behalf — must be exactly zero. Covered kernels: axis-image sweeps,
-//! the semijoin full reducer, the parallel stack-tree structural join,
-//! and the union-merge XPath evaluator, each at 1 and 4 workers.
+//! kernel's behalf — must be exactly zero. Covered kernels, each called
+//! the way `plan::exec::execute` calls it, at 1 and 4 workers: axis-image
+//! sweeps, the semijoin full reducer through [`PoolSweeper`], and the
+//! union-merge set-at-a-time XPath evaluator through [`PoolSweeper`].
 //!
 //! Property tests at the bottom pin the columnar index structures to
 //! the scans they replaced: per-label posting lists agree with a full
@@ -19,9 +20,7 @@ use rand::SeedableRng;
 use treequery_core::cq;
 use treequery_core::obs::alloc::{AccountingGuard, AllocScope};
 use treequery_core::obs::capture;
-use treequery_core::plan::par::{
-    par_eval_query, par_image_into, par_stack_tree_join_into, ParJoinScratch, PoolSweeper,
-};
+use treequery_core::plan::par::{par_image_into, PoolSweeper};
 use treequery_core::plan::Metrics;
 use treequery_core::storage::Xasr;
 use treequery_core::tree::{random_recursive_tree, scratch, Axis, NodeSet, Tree};
@@ -55,7 +54,7 @@ fn assert_zero_steady_state(name: &'static str, mut f: impl FnMut()) {
     );
 }
 
-/// All four kernels, both worker counts. Each measurement is its own
+/// All three kernels, both worker counts. Each measurement is its own
 /// capture, which sees only this thread and the pool workers acting for
 /// it, so nothing else running in the process can leak into the counts.
 #[test]
@@ -66,26 +65,21 @@ fn kernels_are_allocation_free_in_steady_state() {
     let metrics = Metrics::default();
 
     let source = NodeSet::from_iter(n, t.nodes_with_label_name("a").iter().copied());
-    let x = Xasr::from_tree(&t);
-    let la = x.label_list("a");
-    let lb = x.label_list("b");
     let cq_query = cq::parse_cq("q(x) :- label(x, a), child(x, y), label(y, b).").unwrap();
     let forest = cq::JoinForest::build(&cq_query).expect("query is acyclic");
     let union_query = xpath::parse_xpath("//a | //b[c]").unwrap();
 
-    for &(workers, sweep_name, semi_name, join_name, union_name) in &[
+    for &(workers, sweep_name, semi_name, union_name) in &[
         (
             1usize,
             "zero_alloc.sweep.w1",
             "zero_alloc.semijoin.w1",
-            "zero_alloc.join.w1",
             "zero_alloc.union.w1",
         ),
         (
             4usize,
             "zero_alloc.sweep.w4",
             "zero_alloc.semijoin.w4",
-            "zero_alloc.join.w4",
             "zero_alloc.union.w4",
         ),
     ] {
@@ -104,29 +98,21 @@ fn kernels_are_allocation_free_in_steady_state() {
             );
         });
 
-        // Semijoin full reducer (Yannakakis passes over the join forest).
-        let seq = cq::SeqSweeper;
-        let pooled = PoolSweeper {
+        let sweeper = PoolSweeper {
             workers,
             metrics: &metrics,
         };
-        let sweeper: &dyn cq::AxisSweeper = if workers > 1 { &pooled } else { &seq };
+
+        // Semijoin full reducer (Yannakakis passes over the join forest).
         assert_zero_steady_state(semi_name, || {
-            let sets = cq::full_reduce_with(&cq_query, &t, &forest, sweeper)
+            let sets = cq::full_reduce_with(&cq_query, &t, &forest, &sweeper)
                 .expect("query is satisfiable on this tree");
             scratch::put_set_vec(sets);
         });
 
-        // Parallel stack-tree structural join with stitched stack seeds.
-        let mut ws = ParJoinScratch::new();
-        let mut pairs = Vec::new();
-        assert_zero_steady_state(join_name, || {
-            par_stack_tree_join_into(la, lb, workers, &metrics, &mut ws, &mut pairs);
-        });
-
         // Union-merge set-at-a-time evaluation.
         assert_zero_steady_state(union_name, || {
-            let s = par_eval_query(&union_query, &t, workers, &metrics);
+            let s = xpath::eval_query_with(&union_query, &t, &sweeper);
             scratch::put_set(s);
         });
     }

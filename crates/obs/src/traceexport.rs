@@ -5,7 +5,7 @@
 //! `chrome://tracing`: each span becomes a complete (`ph: "X"`) event
 //! with microsecond `ts`/`dur`, `pid` 1, and the span's dense per-thread
 //! id as `tid` — so cross-worker chunk spans (`exec.sweep.chunk`,
-//! `exec.join.chunk`, …) land on their worker's own track.
+//! `exec.ground_chunk`, …) land on their worker's own track.
 //!
 //! Two modes:
 //!

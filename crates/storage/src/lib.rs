@@ -20,8 +20,7 @@ mod xasr;
 
 pub use relation::Relation;
 pub use structural_join::{
-    closure_join, nested_loop_join, stack_join_seeds, stack_tree_join, stack_tree_join_into,
-    stack_tree_join_resumed_into, stack_tree_join_seeded, structural_join_counters, JoinCounters,
-    JoinSeed, JoinSeedSet,
+    closure_join, nested_loop_join, stack_tree_join, stack_tree_join_into,
+    structural_join_counters, JoinCounters,
 };
 pub use xasr::{LabelBitmap, Xasr, XasrRow};

@@ -38,7 +38,7 @@ pub fn stack_tree_join(ancestors: &[(u32, u32)], descendants: &[(u32, u32)]) -> 
 /// [`stack_tree_join`] writing into caller-owned buffers: `stack` is the
 /// working ancestor stack, `out` receives the pairs (both cleared first).
 /// With warmed buffers the join performs no allocations beyond amortized
-/// output growth, which is what the steady-state-zero-alloc gate measures.
+/// output growth.
 pub fn stack_tree_join_into(
     ancestors: &[(u32, u32)],
     descendants: &[(u32, u32)],
@@ -74,259 +74,6 @@ pub fn stack_tree_join_into(
             stack.pop();
         }
         // Everything remaining on the stack is an ancestor of d.
-        for &a in stack.iter() {
-            debug_assert!(is_ancestor(a, d));
-            out.push((a.0, d.0));
-        }
-    }
-}
-
-/// Resumable state of [`stack_tree_join`] at a descendant-chunk boundary:
-/// the index of the next unconsumed ancestor candidate and the stack
-/// contents just before the chunk's first descendant is processed.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct JoinSeed {
-    /// Index into the ancestor list of the first candidate not yet pushed.
-    pub next_ancestor: usize,
-    /// Stack contents (bottom to top) entering the chunk.
-    pub stack: Vec<(u32, u32)>,
-}
-
-/// Splits `n` descendant indexes into at most `chunks` balanced,
-/// non-empty, contiguous ranges.
-fn index_ranges(n: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let chunks = chunks.clamp(1, n);
-    let base = n / chunks;
-    let extra = n % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0usize;
-    for i in 0..chunks {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
-/// Partitions `descendants` into at most `chunks` contiguous ranges and
-/// computes each range's [`JoinSeed`] in one O(|A| + total stack size)
-/// sequential prepass, so the per-chunk joins can then run independently
-/// (in parallel) via [`stack_tree_join_seeded`].
-///
-/// Correctness of the seed: the stack [`stack_tree_join`] holds when it
-/// emits pairs for a descendant `d` is the fold over `{a | a.pre <
-/// d.pre}` of *both* pop rules — but the stack is always a nested
-/// ancestor chain, and any element the d-pop rule of an earlier
-/// descendant would have removed is disjoint-before that descendant and
-/// therefore (post order transfers across disjointness) also
-/// disjoint-before `d`, so `d`'s own d-pop removes it anyway. Hence
-/// folding only the a-pop rule over the ancestor prefix reproduces the
-/// effective stack, and chunk outputs concatenated in chunk order are
-/// byte-identical to the sequential join.
-pub fn stack_join_seeds(
-    ancestors: &[(u32, u32)],
-    descendants: &[(u32, u32)],
-    chunks: usize,
-) -> Vec<(std::ops::Range<usize>, JoinSeed)> {
-    debug_assert!(ancestors.windows(2).all(|w| w[0].0 < w[1].0));
-    debug_assert!(descendants.windows(2).all(|w| w[0].0 < w[1].0));
-    let ranges = index_ranges(descendants.len(), chunks);
-    let mut out = Vec::with_capacity(ranges.len());
-    let mut i = 0usize;
-    let mut stack: Vec<(u32, u32)> = Vec::new();
-    for range in ranges {
-        let d = descendants[range.start];
-        // Pure a-pop fold over the ancestor prefix `{a | a.pre < d.pre}`
-        // (incremental across chunks: the prefix only grows).
-        while i < ancestors.len() && ancestors[i].0 < d.0 {
-            let a = ancestors[i];
-            while stack.last().is_some_and(|&top| top.1 < a.1) {
-                stack.pop();
-            }
-            stack.push(a);
-            i += 1;
-        }
-        out.push((
-            range,
-            JoinSeed {
-                next_ancestor: i,
-                stack: stack.clone(),
-            },
-        ));
-    }
-    out
-}
-
-/// [`stack_tree_join`] resumed from a [`JoinSeed`]: joins one descendant
-/// chunk against the full ancestor list. With the seeds from
-/// [`stack_join_seeds`], concatenating the chunk outputs in chunk order
-/// yields exactly the sequential [`stack_tree_join`] output.
-pub fn stack_tree_join_seeded(
-    ancestors: &[(u32, u32)],
-    descendants: &[(u32, u32)],
-    seed: &JoinSeed,
-) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    let mut stack = seed.stack.clone();
-    let mut i = seed.next_ancestor;
-    for &d in descendants {
-        while i < ancestors.len() && ancestors[i].0 < d.0 {
-            let a = ancestors[i];
-            while stack.last().is_some_and(|&top| top.1 < a.1) {
-                stack.pop();
-            }
-            stack.push(a);
-            i += 1;
-        }
-        while stack.last().is_some_and(|&top| top.1 < d.1) {
-            stack.pop();
-        }
-        for &a in &stack {
-            debug_assert!(is_ancestor(a, d));
-            out.push((a.0, d.0));
-        }
-    }
-    out
-}
-
-/// Reusable, flattened seed storage for chunked stack-tree joins.
-///
-/// [`stack_join_seeds`] allocates a fresh `Vec<JoinSeed>` (with one cloned
-/// stack per chunk) on every call. `JoinSeedSet` stores the same
-/// information in CSR form — one flat `(pre, post)` column plus offsets —
-/// and is rebuilt in place, so a warmed instance performs no allocations
-/// across repeated [`JoinSeedSet::build`] calls on same-shaped inputs.
-/// Seed stacks are handed out as borrowed slices.
-#[derive(Clone, Debug, Default)]
-pub struct JoinSeedSet {
-    ranges: Vec<std::ops::Range<usize>>,
-    next_ancestor: Vec<usize>,
-    /// CSR offsets into `stack_pairs`, one entry per chunk + 1.
-    stack_offsets: Vec<u32>,
-    stack_pairs: Vec<(u32, u32)>,
-}
-
-impl JoinSeedSet {
-    /// An empty seed set; buffers grow on first [`Self::build`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Recomputes the seeds for joining `descendants` (split into at most
-    /// `chunks` ranges) against `ancestors`, reusing this set's buffers.
-    /// Equivalent to [`stack_join_seeds`] without the per-call allocation.
-    pub fn build(&mut self, ancestors: &[(u32, u32)], descendants: &[(u32, u32)], chunks: usize) {
-        debug_assert!(ancestors.windows(2).all(|w| w[0].0 < w[1].0));
-        debug_assert!(descendants.windows(2).all(|w| w[0].0 < w[1].0));
-        self.ranges.clear();
-        self.next_ancestor.clear();
-        self.stack_offsets.clear();
-        self.stack_pairs.clear();
-        if descendants.is_empty() {
-            return;
-        }
-        let n = descendants.len();
-        let chunks = chunks.clamp(1, n);
-        let base = n / chunks;
-        let extra = n % chunks;
-        let mut start = 0usize;
-        let mut i = 0usize;
-        // The live stack is the tail of `stack_pairs` starting at `bottom`:
-        // earlier chunks' frozen copies live before it. Incremental a-pop
-        // folding mutates only the live tail; freezing a seed copies the
-        // tail forward so later pops cannot disturb recorded seeds.
-        let mut bottom = 0usize;
-        for c in 0..chunks {
-            let len = base + usize::from(c < extra);
-            let range = start..start + len;
-            start += len;
-            let d = descendants[range.start];
-            while i < ancestors.len() && ancestors[i].0 < d.0 {
-                let a = ancestors[i];
-                while self.stack_pairs.len() > bottom
-                    && self.stack_pairs.last().is_some_and(|&top| top.1 < a.1)
-                {
-                    self.stack_pairs.pop();
-                }
-                self.stack_pairs.push(a);
-                i += 1;
-            }
-            // Freeze this chunk's seed: record the live tail, then start a
-            // fresh live tail as a copy of it.
-            self.ranges.push(range);
-            self.next_ancestor.push(i);
-            self.stack_offsets.push(bottom as u32);
-            let live = self.stack_pairs.len();
-            self.stack_pairs.extend_from_within(bottom..live);
-            bottom = live;
-        }
-        // Drop the final (unfrozen) live tail; the last chunk's frozen
-        // stack ends where it began. Close the CSR offsets.
-        self.stack_pairs.truncate(bottom);
-        self.stack_offsets.push(bottom as u32);
-    }
-
-    /// Number of chunks.
-    pub fn len(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Whether the set holds no chunks.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
-    /// The descendant index range of chunk `i`.
-    pub fn range(&self, i: usize) -> std::ops::Range<usize> {
-        self.ranges[i].clone()
-    }
-
-    /// The next unconsumed ancestor index entering chunk `i`.
-    pub fn next_ancestor(&self, i: usize) -> usize {
-        self.next_ancestor[i]
-    }
-
-    /// The seed stack (bottom to top) entering chunk `i`, borrowed from the
-    /// flat pair column.
-    pub fn stack(&self, i: usize) -> &[(u32, u32)] {
-        let lo = self.stack_offsets[i] as usize;
-        let hi = self.stack_offsets[i + 1] as usize;
-        &self.stack_pairs[lo..hi]
-    }
-}
-
-/// [`stack_tree_join_seeded`] writing into caller-owned buffers: resumes
-/// the join from `(next_ancestor, seed_stack)` (e.g. from a
-/// [`JoinSeedSet`]), using `stack` as the working stack and appending the
-/// chunk's pairs to `out` (`stack` is reinitialized from the seed; `out`
-/// is cleared).
-pub fn stack_tree_join_resumed_into(
-    ancestors: &[(u32, u32)],
-    descendants: &[(u32, u32)],
-    next_ancestor: usize,
-    seed_stack: &[(u32, u32)],
-    stack: &mut Vec<(u32, u32)>,
-    out: &mut Vec<(u32, u32)>,
-) {
-    out.clear();
-    stack.clear();
-    stack.extend_from_slice(seed_stack);
-    let mut i = next_ancestor;
-    for &d in descendants {
-        while i < ancestors.len() && ancestors[i].0 < d.0 {
-            let a = ancestors[i];
-            while stack.last().is_some_and(|&top| top.1 < a.1) {
-                stack.pop();
-            }
-            stack.push(a);
-            i += 1;
-        }
-        while stack.last().is_some_and(|&top| top.1 < d.1) {
-            stack.pop();
-        }
         for &a in stack.iter() {
             debug_assert!(is_ancestor(a, d));
             out.push((a.0, d.0));
@@ -471,106 +218,11 @@ mod tests {
         assert!(c.closure_tuples >= c.output_pairs);
     }
 
-    /// The chunked join must reproduce the sequential join byte for byte
-    /// (same pairs, same order) when chunk outputs are concatenated in
-    /// chunk order — the determinism claim the parallel executor rests on.
     #[test]
-    fn seeded_chunks_concatenate_to_the_sequential_output() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(19);
-        for trial in 0..15 {
-            let n = 20 + trial * 17;
-            let t = treequery_tree::random_recursive_tree(&mut rng, n, &["a", "b"]);
-            let x = Xasr::from_tree(&t);
-            let la = x.label_list("a");
-            let lb = x.label_list("b");
-            let sequential = stack_tree_join(la, lb);
-            for chunks in [1usize, 2, 3, 7, n + 1] {
-                let seeds = stack_join_seeds(la, lb, chunks);
-                let mut stitched = Vec::new();
-                for (range, seed) in &seeds {
-                    stitched.extend(stack_tree_join_seeded(la, &lb[range.clone()], seed));
-                }
-                assert_eq!(stitched, sequential, "{chunks} chunks over {n} nodes");
-            }
-        }
-    }
-
-    #[test]
-    fn seeds_handle_empty_and_single_chunk_inputs() {
-        assert!(stack_join_seeds(&[(1, 5)], &[], 4).is_empty());
-        let seeds = stack_join_seeds(&[(1, 5)], &[(2, 1)], 4);
-        assert_eq!(seeds.len(), 1);
-        assert_eq!(seeds[0].0, 0..1);
-        // The prepass eagerly folds the ancestor prefix `{a | a.pre < 2}`.
-        assert_eq!(
-            seeds[0].1,
-            JoinSeed {
-                next_ancestor: 1,
-                stack: vec![(1, 5)],
-            }
-        );
-        assert_eq!(
-            stack_tree_join_seeded(&[(1, 5)], &[(2, 1)], &seeds[0].1),
-            vec![(1, 2)]
-        );
-    }
-
-    /// The flattened [`JoinSeedSet`] must agree with the allocating
-    /// [`stack_join_seeds`] chunk by chunk, and resuming from its borrowed
-    /// slices (with reused working buffers, dirty across iterations) must
-    /// stitch to the sequential output.
-    #[test]
-    fn seed_set_matches_allocating_seeds_and_stitches() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut set = JoinSeedSet::new();
-        let mut stack = Vec::new();
-        let mut chunk_out = Vec::new();
-        for trial in 0..10 {
-            let n = 25 + trial * 13;
-            let t = treequery_tree::random_recursive_tree(&mut rng, n, &["a", "b"]);
-            let x = Xasr::from_tree(&t);
-            let la = x.label_list("a");
-            let lb = x.label_list("b");
-            let sequential = stack_tree_join(la, lb);
-            for chunks in [1usize, 2, 3, 7, n + 1] {
-                let reference = stack_join_seeds(la, lb, chunks);
-                set.build(la, lb, chunks);
-                assert_eq!(set.len(), reference.len());
-                let mut stitched = Vec::new();
-                for (i, (range, seed)) in reference.iter().enumerate() {
-                    assert_eq!(set.range(i), *range, "chunk {i} of {chunks}");
-                    assert_eq!(set.next_ancestor(i), seed.next_ancestor);
-                    assert_eq!(set.stack(i), seed.stack.as_slice());
-                    stack_tree_join_resumed_into(
-                        la,
-                        &lb[set.range(i)],
-                        set.next_ancestor(i),
-                        set.stack(i),
-                        &mut stack,
-                        &mut chunk_out,
-                    );
-                    stitched.extend_from_slice(&chunk_out);
-                }
-                assert_eq!(stitched, sequential, "{chunks} chunks over {n} nodes");
-            }
-        }
-    }
-
-    #[test]
-    fn seed_set_handles_empty_input_and_into_reuses_buffers() {
-        let mut set = JoinSeedSet::new();
-        set.build(&[(1, 5)], &[], 4);
-        assert!(set.is_empty());
-        // Dirty buffers are fully reinitialized by the _into entry points.
+    fn into_reinitializes_dirty_buffers() {
         let mut stack = vec![(9, 9); 8];
         let mut out = vec![(7, 7); 8];
         stack_tree_join_into(&[(1, 5)], &[(2, 1)], &mut stack, &mut out);
-        assert_eq!(out, vec![(1, 2)]);
-        stack_tree_join_resumed_into(&[(1, 5)], &[(2, 1)], 1, &[(1, 5)], &mut stack, &mut out);
         assert_eq!(out, vec![(1, 2)]);
     }
 

@@ -6,13 +6,19 @@
 //! computed *backwards* through [`sources`] (preimages). Total time
 //! `O(|D| · |Q|)` — the combined complexity discussed in Section 4 for
 //! Core XPath via FO² (the PTime upper bound; data complexity is linear).
+//!
+//! The axis sweeps run through an [`AxisSweeper`]: [`eval_query_with`]
+//! takes the caller's (e.g. a chunked parallel kernel), the other entry
+//! points use [`SeqSweeper`]. The set algebra around the sweeps is the
+//! same either way, so every exact sweeper yields the same bits.
 
+use treequery_cq::{AxisSweeper, SeqSweeper};
 use treequery_tree::{cancel, scratch, Axis, NodeSet, Tree};
 
 use crate::ast::{Path, Qual};
 
 /// The nodes on which a qualifier holds. O(n · |q|). Returns a pooled set.
-fn qual_nodes(q: &Qual, t: &Tree) -> NodeSet {
+fn qual_nodes(q: &Qual, t: &Tree, sw: &(impl AxisSweeper + ?Sized)) -> NodeSet {
     match q {
         Qual::Label(l) => {
             let mut s = scratch::take_set(t.len());
@@ -23,26 +29,26 @@ fn qual_nodes(q: &Qual, t: &Tree) -> NodeSet {
         }
         Qual::Path(p) => {
             let full = scratch::take_full(t.len());
-            let out = sources(p, t, &full);
+            let out = sources_with(p, t, &full, sw);
             scratch::put_set(full);
             out
         }
         Qual::And(a, b) => {
-            let mut s = qual_nodes(a, t);
-            let other = qual_nodes(b, t);
+            let mut s = qual_nodes(a, t, sw);
+            let other = qual_nodes(b, t, sw);
             s.intersect_with(&other);
             scratch::put_set(other);
             s
         }
         Qual::Or(a, b) => {
-            let mut s = qual_nodes(a, t);
-            let other = qual_nodes(b, t);
+            let mut s = qual_nodes(a, t, sw);
+            let other = qual_nodes(b, t, sw);
             s.union_with(&other);
             scratch::put_set(other);
             s
         }
         Qual::Not(inner) => {
-            let mut s = qual_nodes(inner, t);
+            let mut s = qual_nodes(inner, t, sw);
             s.complement();
             s
         }
@@ -51,10 +57,10 @@ fn qual_nodes(q: &Qual, t: &Tree) -> NodeSet {
 
 /// The nodes a step can land on: all nodes passing the step's qualifiers.
 /// Returns a pooled set.
-fn step_filter(quals: &[Qual], t: &Tree) -> NodeSet {
+fn step_filter(quals: &[Qual], t: &Tree, sw: &(impl AxisSweeper + ?Sized)) -> NodeSet {
     let mut s = scratch::take_full(t.len());
     for q in quals {
-        let qn = qual_nodes(q, t);
+        let qn = qual_nodes(q, t, sw);
         s.intersect_with(&qn);
         scratch::put_set(qn);
     }
@@ -66,6 +72,10 @@ fn step_filter(quals: &[Qual], t: &Tree) -> NodeSet {
 /// The result comes from the thread-local scratch pools; recycle it with
 /// [`scratch::put_set`] to keep repeated evaluation allocation-free.
 pub fn select(p: &Path, t: &Tree, from: &NodeSet) -> NodeSet {
+    select_with(p, t, from, &SeqSweeper)
+}
+
+fn select_with(p: &Path, t: &Tree, from: &NodeSet, sw: &(impl AxisSweeper + ?Sized)) -> NodeSet {
     // Cancellation checkpoint, once per location step (each step is one
     // O(n) sweep — the sweep chunk). A cancelled query unwinds the step
     // recursion with empty sets; the executor discards the partial.
@@ -75,21 +85,21 @@ pub fn select(p: &Path, t: &Tree, from: &NodeSet) -> NodeSet {
     match p {
         Path::Step { axis, quals } => {
             let mut img = scratch::take_set(t.len());
-            axis.image_into(t, from, &mut img);
-            let filter = step_filter(quals, t);
+            sw.image_into(*axis, t, from, &mut img);
+            let filter = step_filter(quals, t, sw);
             img.intersect_with(&filter);
             scratch::put_set(filter);
             img
         }
         Path::Seq(p1, p2) => {
-            let mid = select(p1, t, from);
-            let out = select(p2, t, &mid);
+            let mid = select_with(p1, t, from, sw);
+            let out = select_with(p2, t, &mid, sw);
             scratch::put_set(mid);
             out
         }
         Path::Union(p1, p2) => {
-            let mut s = select(p1, t, from);
-            let other = select(p2, t, from);
+            let mut s = select_with(p1, t, from, sw);
+            let other = select_with(p2, t, from, sw);
             s.union_with(&other);
             scratch::put_set(other);
             s
@@ -100,7 +110,16 @@ pub fn select(p: &Path, t: &Tree, from: &NodeSet) -> NodeSet {
 /// Backward image: `{ n : [[p]](n) ∩ targets ≠ ∅ }`. O(n · |p|).
 /// Returns a pooled set (see [`select`]).
 pub fn sources(p: &Path, t: &Tree, targets: &NodeSet) -> NodeSet {
-    // Checkpoint per backward step; see `select`.
+    sources_with(p, t, targets, &SeqSweeper)
+}
+
+fn sources_with(
+    p: &Path,
+    t: &Tree,
+    targets: &NodeSet,
+    sw: &(impl AxisSweeper + ?Sized),
+) -> NodeSet {
+    // Checkpoint per backward step; see `select_with`.
     if cancel::cancelled() {
         return scratch::take_set(t.len());
     }
@@ -108,23 +127,23 @@ pub fn sources(p: &Path, t: &Tree, targets: &NodeSet) -> NodeSet {
         Path::Step { axis, quals } => {
             let mut tgt = scratch::take_set(t.len());
             tgt.copy_from(targets);
-            let filter = step_filter(quals, t);
+            let filter = step_filter(quals, t, sw);
             tgt.intersect_with(&filter);
             scratch::put_set(filter);
             let mut out = scratch::take_set(t.len());
-            axis.preimage_into(t, &tgt, &mut out);
+            sw.preimage_into(*axis, t, &tgt, &mut out);
             scratch::put_set(tgt);
             out
         }
         Path::Seq(p1, p2) => {
-            let mid = sources(p2, t, targets);
-            let out = sources(p1, t, &mid);
+            let mid = sources_with(p2, t, targets, sw);
+            let out = sources_with(p1, t, &mid, sw);
             scratch::put_set(mid);
             out
         }
         Path::Union(p1, p2) => {
-            let mut s = sources(p1, t, targets);
-            let other = sources(p2, t, targets);
+            let mut s = sources_with(p1, t, targets, sw);
+            let other = sources_with(p2, t, targets, sw);
             s.union_with(&other);
             scratch::put_set(other);
             s
@@ -142,6 +161,13 @@ pub fn eval(p: &Path, t: &Tree, context: &NodeSet) -> NodeSet {
 /// the root element, `//a` selects all `a` nodes (same convention as
 /// [`crate::eval_reference`]). Returns a pooled set (see [`select`]).
 pub fn eval_query(p: &Path, t: &Tree) -> NodeSet {
+    eval_query_with(p, t, &SeqSweeper)
+}
+
+/// [`eval_query`] with every axis image and preimage run by `sw` (e.g. a
+/// chunked parallel sweeper). Same bits as [`eval_query`] for any sweeper
+/// that writes exact images.
+pub fn eval_query_with(p: &Path, t: &Tree, sw: &(impl AxisSweeper + ?Sized)) -> NodeSet {
     match p {
         Path::Step { axis, quals } => {
             let mut out = match axis {
@@ -153,20 +179,20 @@ pub fn eval_query(p: &Path, t: &Tree) -> NodeSet {
                 Axis::Descendant | Axis::DescendantOrSelf => scratch::take_full(t.len()),
                 _ => scratch::take_set(t.len()),
             };
-            let filter = step_filter(quals, t);
+            let filter = step_filter(quals, t, sw);
             out.intersect_with(&filter);
             scratch::put_set(filter);
             out
         }
         Path::Seq(p1, p2) => {
-            let first = eval_query(p1, t);
-            let out = select(p2, t, &first);
+            let first = eval_query_with(p1, t, sw);
+            let out = select_with(p2, t, &first, sw);
             scratch::put_set(first);
             out
         }
         Path::Union(p1, p2) => {
-            let mut s = eval_query(p1, t);
-            let other = eval_query(p2, t);
+            let mut s = eval_query_with(p1, t, sw);
+            let other = eval_query_with(p2, t, sw);
             s.union_with(&other);
             scratch::put_set(other);
             s

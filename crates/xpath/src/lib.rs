@@ -20,7 +20,9 @@
 //!   semantics (P1)–(P4) / (Q1)–(Q5), used as the correctness oracle,
 //! * [`eval`] / [`eval_query`] — the set-at-a-time evaluator: every axis
 //!   image/preimage is one O(n) order sweep, giving `O(|D| · |Q|)`
-//!   combined complexity (the linear-time data complexity of Section 4),
+//!   combined complexity (the linear-time data complexity of Section 4);
+//!   [`eval_query_with`] runs the same evaluator with a caller's
+//!   [`treequery_cq::AxisSweeper`] (the executor's chunked parallel one),
 //! * [`to_datalog`] — the translation into monadic datalog over τ⁺
 //!   (Section 3 / \[29\]); negation is compiled via dual predicates, with
 //!   label complements as extensional `notlabel` facts,
@@ -36,7 +38,7 @@ mod to_cq;
 mod to_datalog;
 
 pub use ast::{Path, Qual};
-pub use eval::{eval, eval_query, select, sources};
+pub use eval::{eval, eval_query, eval_query_with, select, sources};
 pub use features::{features, PathFeatures};
 pub use parser::{parse_xpath, XPathParseError};
 pub use reference::eval_reference;

@@ -23,7 +23,6 @@ fn engine_with_workers(tree: &Tree, workers: usize) -> Engine<'_> {
                 ..PlannerConfig::default()
             },
             batch_threads: Some(workers),
-            ..EngineConfig::default()
         },
     )
 }

@@ -23,7 +23,6 @@ fn parallel_engine(tree: &Tree) -> Engine<'_> {
                 ..PlannerConfig::default()
             },
             batch_threads: Some(4),
-            ..EngineConfig::default()
         },
     )
 }
@@ -55,7 +54,6 @@ fn hammered_engine_keeps_its_counters_consistent() {
                     ..PlannerConfig::default()
                 },
                 batch_threads: Some(1),
-                ..EngineConfig::default()
             },
         );
         queries

@@ -72,9 +72,9 @@ cargo run -p treequery-bench --release --bin harness -q -- fuzz --seconds 10 --s
 
 echo "==> edit-script fuzz gate (seed 0xED17)"
 # Edits-only rotation: every input is a (tree, query, edit script)
-# triple; after each edit the incrementally maintained document, the
-# patched XASR, and the fingerprint delta are all cross-checked against
-# a from-scratch rebuild oracle under every strategy x {1,4} workers.
+# triple; after each edit the incrementally maintained document and its
+# fingerprint are cross-checked against a from-scratch rebuild oracle
+# under every strategy x {1,4} workers.
 cargo run -p treequery-bench --release --bin harness -q -- fuzz --edits --seconds 10 --seed 0xED17
 
 echo "==> regression corpus replay (workers 1 and 4)"

@@ -19,11 +19,19 @@
 //! A wall-clock postscript compares one edit + re-query against the
 //! from-scratch alternative (rebuild the model, re-run the query); the
 //! pinned bench suite gates that same ratio (< 30%) per commit.
+//!
+//! A second wall-clock ladder times the edits themselves: insert-leaf,
+//! relabel and delete-leaf on a live [`Document`] over XMark documents
+//! of about 10k → 160k nodes, in the pattern of the service benchmark's
+//! edit-mix writer, with the same log-log fit.
 
 use std::time::Instant;
 
+use std::collections::VecDeque;
+
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use treequery_core::document::Document;
-use treequery_core::tree::{EditOp, TreeBuilder};
+use treequery_core::tree::{xmark_document, EditOp, NodeId, TreeBuilder, XmarkConfig};
 use treequery_core::Tree;
 
 use super::e21_memory::{log_log_fit, ScalingFit};
@@ -159,6 +167,91 @@ pub fn edit_requery_walls(n: usize, reps: usize) -> (u64, u64) {
     (inc, rebuild)
 }
 
+/// Inserted leaves kept live before the oldest is deleted again.
+const LIVE_LEAVES: usize = 8;
+
+/// Median wall time, in nanoseconds, of each op of `scripts` edit
+/// scripts on a live [`Document`] over the XMark document scaled to
+/// `scale` (seed 7), as `(nodes, [insert, relabel, delete])`. Each
+/// script inserts a freshly labeled leaf under a random node of the
+/// original document, relabels a random live inserted leaf, and deletes
+/// the oldest inserted leaf once more than eight are live — the service
+/// benchmark's edit-mix writer, so the node count stays within
+/// `[N, N + 8]`.
+pub fn op_walls(scale: usize, scripts: usize) -> (usize, [u64; 3]) {
+    let tree = xmark_document(
+        &mut StdRng::seed_from_u64(7),
+        &XmarkConfig::scaled_to(scale),
+    );
+    let nodes = tree.len();
+    let mut doc = Document::new(tree);
+    let mut rng = StdRng::seed_from_u64(0xED17);
+    let mut live: VecDeque<String> = VecDeque::new();
+    let mut walls: [Vec<u64>; 3] = Default::default();
+    let pre_of = |doc: &Document, label: &str| {
+        let t = doc.tree();
+        t.pre(t.nodes_with_label_name(label)[0])
+    };
+    let mut timed = |doc: &mut Document, slot: usize, op: EditOp| {
+        let started = Instant::now();
+        doc.edit(&op).expect("ladder edits never normalize away");
+        walls[slot].push(started.elapsed().as_nanos() as u64);
+    };
+    for i in 0..scripts {
+        // Original nodes keep the lowest ids: only appended ids move.
+        let parent = NodeId(rng.gen_range(0..nodes as u32));
+        let parent_pre = doc.tree().pre(parent);
+        let fanout = doc.tree().children(parent).count() as u32;
+        let label = format!("n{i}");
+        let op = EditOp::InsertLeaf {
+            parent_pre,
+            child_idx: rng.gen_range(0..=fanout),
+            label: label.clone(),
+        };
+        timed(&mut doc, 0, op);
+        live.push_back(label);
+
+        let j = rng.gen_range(0..live.len());
+        let pre = pre_of(&doc, &live[j]);
+        live[j] = format!("r{i}");
+        timed(
+            &mut doc,
+            1,
+            EditOp::Relabel {
+                pre,
+                label: live[j].clone(),
+            },
+        );
+
+        if live.len() > LIVE_LEAVES {
+            let oldest = live.pop_front().expect("non-empty");
+            let pre = pre_of(&doc, &oldest);
+            timed(&mut doc, 2, EditOp::DeleteSubtree { pre });
+        }
+    }
+    let median = |w: &mut Vec<u64>| {
+        w.sort_unstable();
+        w[w.len() / 2]
+    };
+    let [a, b, c] = &mut walls;
+    (nodes, [median(a), median(b), median(c)])
+}
+
+/// The [`op_walls`] ladder over `scales`, with one log-log fit of wall
+/// time against node count per op.
+pub fn op_ladder(scales: &[usize], scripts: usize) -> (Vec<(usize, [u64; 3])>, [ScalingFit; 3]) {
+    let points: Vec<(usize, [u64; 3])> = scales.iter().map(|&s| op_walls(s, scripts)).collect();
+    let fit = |op: usize| {
+        let xy: Vec<(f64, f64)> = points
+            .iter()
+            .map(|(n, w)| (*n as f64, w[op] as f64))
+            .collect();
+        log_log_fit(&xy)
+    };
+    let fits = [fit(0), fit(1), fit(2)];
+    (points, fits)
+}
+
 pub fn run() {
     header(
         "E24",
@@ -191,6 +284,25 @@ pub fn run() {
         inc as f64 / rebuild as f64 * 100.0
     );
     println!("the delta pass probes the edit site's neighborhood; the document never re-grounds.");
+
+    println!("\nper-op edit wall time (median of 200 edit-mix scripts; script = their sum):");
+    println!(
+        "{:>10} {:>12} {:>12} {:>12} {:>12}",
+        "nodes", "insert ns", "relabel ns", "delete ns", "script ns"
+    );
+    let (points, fits) = op_ladder(&[5_000, 10_000, 20_000, 40_000, 80_000], 200);
+    for (n, [ins, rel, del]) in &points {
+        println!(
+            "{n:>10} {ins:>12} {rel:>12} {del:>12} {:>12}",
+            ins + rel + del
+        );
+    }
+    for (op, fit) in ["insert", "relabel", "delete"].iter().zip(&fits) {
+        println!(
+            "{op:>8}: log-log slope {:.3} (0.0 = independent of |D|), R^2 {:.4}",
+            fit.slope, fit.r2
+        );
+    }
 }
 
 #[cfg(test)]
@@ -220,6 +332,14 @@ mod tests {
             large <= small * 2,
             "32-edit maintenance work grew with |D|: {small} -> {large}"
         );
+    }
+
+    /// Every op kind of the edit-mix pattern gets timed.
+    #[test]
+    fn op_walls_time_every_op() {
+        let (nodes, walls) = op_walls(200, 12);
+        assert!(nodes > 300, "{nodes}");
+        assert!(walls.iter().all(|&w| w > 0), "{walls:?}");
     }
 
     /// The experiment's claims on reduced ladders: probes flat in |D|,

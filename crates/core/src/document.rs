@@ -180,25 +180,39 @@ impl Document {
 
     /// Applies one edit and patches every maintained structure. Returns
     /// `None` (and changes nothing) when the op normalizes away (e.g.
-    /// deleting the root).
+    /// deleting the root). Each structure's repair runs in its own span:
+    /// `edit.splice` (the tree), `edit.stats`, `edit.fingerprint`,
+    /// `edit.rekey` (the plan cache) and `edit.watch` (both phases of
+    /// the watched programs' delta pass).
     pub fn edit(&mut self, op: &EditOp) -> Option<EditDelta> {
         // Phase 1 of the DRed pass needs the *pre-edit* tree.
         let pendings: Vec<datalog::PendingEdit> = {
+            let _span = treequery_obs::span("edit.watch");
             let tree = self.tree.tree();
             self.watches
                 .iter_mut()
                 .map(|w| w.prepare_edit(tree, op))
                 .collect()
         };
-        let delta = self.tree.apply(op)?;
-
-        self.stats.apply_edit(self.tree.tree(), &delta);
-
+        let delta = {
+            let _span = treequery_obs::span("edit.splice");
+            self.tree.apply(op)?
+        };
+        {
+            let _span = treequery_obs::span("edit.stats");
+            self.stats.apply_edit(self.tree.tree(), &delta);
+        }
         let old_fp = self.fingerprint;
-        self.patch_fingerprint(&delta);
-        debug_assert_eq!(self.fingerprint, plan::tree_fingerprint(self.tree.tree()));
-        self.cache.rekey_tree(old_fp, self.fingerprint);
-
+        {
+            let _span = treequery_obs::span("edit.fingerprint");
+            self.patch_fingerprint(&delta);
+            debug_assert_eq!(self.fingerprint, plan::tree_fingerprint(self.tree.tree()));
+        }
+        {
+            let _span = treequery_obs::span("edit.rekey");
+            self.cache.rekey_tree(old_fp, self.fingerprint);
+        }
+        let _span = treequery_obs::span("edit.watch");
         let tree = self.tree.tree();
         for (watch, pending) in self.watches.iter_mut().zip(pendings) {
             watch.commit_edit(tree, &delta, pending);
@@ -211,19 +225,30 @@ impl Document {
         ops.iter().filter(|op| self.edit(op).is_some()).count()
     }
 
-    /// XOR-patches the fingerprint for one applied edit. The per-node
-    /// term reads depth, sibling index, own labels, and the parent's
-    /// primary label — so the dirty set is the edited node, its
-    /// children (relabel changes their parent-label term), and its
-    /// parent's children (insert shifts their sibling indices). Deletes
-    /// compact node ids, so they rebuild the whole per-node vector —
-    /// matching the `O(|D|)` the id remap already costs.
+    /// XOR-patches the fingerprint for one applied edit, in
+    /// `O(|change|)`. The per-node term reads depth, sibling index, own
+    /// labels, and the parent's primary label, so the dirty terms are:
+    /// on a relabel, the node's and its children's (their parent-label
+    /// term); on an insert, the new leaf's and its later siblings' (their
+    /// sibling index grew); on a delete, the removed nodes' terms (XOR-ed
+    /// out at their old ids before the per-node vector is compacted
+    /// through the tree's own id remap) and the deleted root's later
+    /// siblings' (their sibling index shrank). The node-count term swaps
+    /// whenever the size changed.
     fn patch_fingerprint(&mut self, delta: &EditDelta) {
         let tree = self.tree.tree();
-        if matches!(delta.kind, EditKind::Insert) {
-            self.fingerprint ^=
-                plan::fingerprint_len_term(tree.len() - 1) ^ plan::fingerprint_len_term(tree.len());
-            self.node_fps.push(0); // slot for the appended node id
+        let old_len = (tree.len() as i64 - delta.nodes_delta()) as usize;
+        self.fingerprint ^=
+            plan::fingerprint_len_term(old_len) ^ plan::fingerprint_len_term(tree.len());
+        match delta.kind {
+            EditKind::Insert => self.node_fps.push(0), // the appended id's slot
+            EditKind::Delete => {
+                for &d in &delta.removed_ids {
+                    self.fingerprint ^= self.node_fps[d as usize];
+                }
+                delta.compact(&mut self.node_fps);
+            }
+            EditKind::Relabel => {}
         }
         let (node_fps, fingerprint) = (&mut self.node_fps, &mut self.fingerprint);
         let mut refresh = |v: NodeId| {
@@ -232,27 +257,31 @@ impl Document {
             *fingerprint ^= *slot ^ fresh;
             *slot = fresh;
         };
-        match delta.kind {
-            EditKind::Insert => {
-                let parent = delta.parent.expect("insert delta carries the parent");
-                for c in tree.children(parent) {
-                    refresh(c);
-                }
-            }
+        // The dirty terms: `also`, then `first` and its later siblings.
+        let (also, first) = match delta.kind {
+            EditKind::Insert => (None, delta.node),
             EditKind::Relabel => {
                 let v = delta.node.expect("relabel delta carries the node");
-                refresh(v);
-                for c in tree.children(v) {
-                    refresh(c);
-                }
+                (Some(v), tree.children(v).next())
             }
             EditKind::Delete => {
-                node_fps.clear();
-                node_fps.extend(tree.nodes().map(|v| plan::node_fingerprint(tree, v)));
-                *fingerprint = node_fps
-                    .iter()
-                    .fold(plan::fingerprint_len_term(tree.len()), |acc, h| acc ^ h);
+                // The deleted root's next sibling now sits at its old pre
+                // rank, if it had one.
+                let parent = delta.parent.expect("delete delta carries the parent");
+                let at = delta.pre_range.0;
+                let next = (at < tree.len() as u32)
+                    .then(|| tree.node_at_pre(at))
+                    .filter(|&u| tree.parent(u) == Some(parent));
+                (None, next)
             }
+        };
+        if let Some(v) = also {
+            refresh(v);
+        }
+        let mut c = first;
+        while let Some(v) = c {
+            refresh(v);
+            c = tree.next_sibling(v);
         }
     }
 }
@@ -301,6 +330,103 @@ mod tests {
             assert_eq!(doc.stats(), plan::TreeStats::compute(doc.tree()));
         }
         assert!(doc.edit_count() >= 100);
+    }
+
+    /// A 200-op script on a 600-node tree, with deletes of recently
+    /// inserted leaves and of original subtrees alike: the maintained
+    /// fingerprint equals a full recomputation after every op (checked
+    /// with `assert_eq!`, so `--release` runs check it too).
+    #[test]
+    fn fingerprint_matches_recompute_over_a_long_script() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let tree = treequery_tree::random_recursive_tree(
+            &mut StdRng::seed_from_u64(24),
+            600,
+            &["a", "b", "c", "r"],
+        );
+        let mut doc = Document::new(tree);
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut deletes = 0;
+        for step in 0..200 {
+            let n = doc.tree().len() as u32;
+            let op = if step % 5 == 4 {
+                // The newest node: one of the leaves inserted just before.
+                let newest = NodeId(n - 1);
+                EditOp::DeleteSubtree {
+                    pre: doc.tree().pre(newest),
+                }
+            } else {
+                random_op(&mut state, n)
+            };
+            let Some(delta) = doc.edit(&op) else {
+                continue;
+            };
+            deletes += usize::from(delta.kind == EditKind::Delete);
+            assert_eq!(
+                doc.fingerprint(),
+                plan::tree_fingerprint(doc.tree()),
+                "after step {step}: {op}"
+            );
+        }
+        assert!(deletes >= 60, "the script must delete: {deletes}");
+    }
+
+    /// Each structure's repair runs in its own span, and the five spans
+    /// cover the edit: their wall times sum to at most the edit's, and
+    /// (with work to attribute on a 4,000-node tree) to most of it.
+    #[test]
+    fn captured_edits_attribute_time_to_each_structure() {
+        use rand::{rngs::StdRng, SeedableRng};
+        const NAMES: [&str; 5] = [
+            "edit.splice",
+            "edit.stats",
+            "edit.fingerprint",
+            "edit.rekey",
+            "edit.watch",
+        ];
+        let tree = treequery_tree::random_recursive_tree(
+            &mut StdRng::seed_from_u64(7),
+            4_000,
+            &["a", "b", "c"],
+        );
+        let mut doc = Document::new(tree);
+        doc.watch_datalog("P(x) :- label(x, b). P(x) :- child(x, y), P(y). ?- P.")
+            .unwrap();
+        let mut state = 0x9E3779B97F4A7C15u64;
+        let (mut wall, mut covered) = (0u64, 0u64);
+        for _ in 0..40 {
+            let op = random_op(&mut state, doc.tree().len() as u32);
+            let (elapsed, captured) = treequery_obs::capture(|| {
+                let started = std::time::Instant::now();
+                doc.edit(&op);
+                started.elapsed().as_nanos() as u64
+            });
+            if captured.spans.is_empty() {
+                continue; // normalized away
+            }
+            for name in NAMES {
+                assert!(
+                    captured.spans.iter().any(|s| s.name == name),
+                    "{name} missing after {op}"
+                );
+            }
+            let sum: u64 = captured
+                .spans
+                .iter()
+                .filter(|s| NAMES.contains(&s.name))
+                .map(|s| s.duration_ns)
+                .sum();
+            assert!(
+                sum <= elapsed,
+                "spans {sum} ns exceed the edit's {elapsed} ns"
+            );
+            wall += elapsed;
+            covered += sum;
+        }
+        assert!(
+            covered * 2 >= wall,
+            "the five spans cover {covered} of {wall} ns"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use treequery_tree::{NodeId, NodeSet, Tree};
 use treequery_xpath as xpath;
 
 use super::ir::{IrBody, QueryIr};
-use super::par::{par_datalog_eval_query, par_eval_via_rewrite, PoolSweeper};
+use super::par::{par_eval_via_rewrite, PoolSweeper};
 use super::planner::{ExplainedPlan, Strategy};
 use crate::{CqAnswer, EngineError};
 
@@ -79,8 +79,7 @@ pub struct Metrics {
     /// Variable assignments attempted by the backtracking evaluator.
     pub backtrack_assignments: AtomicU64,
     /// Kernel invocations that were dispatched to the worker pool in more
-    /// than one chunk (parallel sweeps, grounding passes, joins, union
-    /// parts).
+    /// than one chunk (parallel sweeps and union parts).
     pub parallel_kernels: AtomicU64,
     /// Chunk tasks submitted to the worker pool by those kernels.
     pub parallel_chunks: AtomicU64,
@@ -552,7 +551,7 @@ fn execute_kernels(
             span.record_u64("nodes_swept", swept);
             let set = {
                 let _mem = AllocScope::enter("exec.ground_minoux");
-                par_datalog_eval_query(&prog, tree, plan.workers, metrics)
+                treequery_datalog::eval_query(&prog, tree)
             };
             Ok(QueryOutput::Nodes(sorted_nodes(tree, set)))
         }
@@ -619,7 +618,7 @@ fn execute_kernels(
             span.record_u64("nodes_swept", swept);
             let set = {
                 let _mem = AllocScope::enter("exec.ground_minoux");
-                par_datalog_eval_query(prog, tree, plan.workers, metrics)
+                treequery_datalog::eval_query(prog, tree)
             };
             Ok(QueryOutput::Nodes(sorted_nodes(tree, set)))
         }

@@ -10,11 +10,6 @@
 //!   set-at-a-time Core XPath evaluator
 //!   ([`treequery_xpath::eval_query_with`]) and to the full reducer's
 //!   semijoin passes ([`treequery_cq::Enumerator::with_sweeper`]);
-//! * [`par_datalog_eval_query`] — Theorem 3.2 grounding chunked by
-//!   `(rule, node range)` in rule-major, range-ascending task order,
-//!   reassembled into a Horn formula byte-identical to the sequential
-//!   `ground()` (same rule order, same atom interning order) before one
-//!   Minoux solve;
 //! * [`par_eval_via_rewrite`] — the Theorem 5.1 rewrite-to-acyclic
 //!   union with each part's full-reducer semijoin program run as its own
 //!   task (independent join-tree branches), results merged into the same
@@ -28,10 +23,9 @@ use std::collections::BTreeSet;
 
 use treequery_cq::rewrite::RewriteError;
 use treequery_cq::Cq;
-use treequery_datalog::{ground_rule_chunk, GroundAtom, Program};
 use treequery_tree::{
-    incoming_carries_in_place, pre_range_at, pre_range_count, pre_ranges, scratch, Axis, CarryFlow,
-    NodeId, NodeSet, Tree,
+    incoming_carries_in_place, pre_range_at, pre_range_count, scratch, Axis, CarryFlow, NodeId,
+    NodeSet, Tree,
 };
 
 use crate::plan::exec::Metrics;
@@ -39,10 +33,6 @@ use crate::plan::pool::WorkerPool;
 
 /// Boxes a closure for [`WorkerPool::run_scoped`].
 type ScopedTask<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
-
-/// One grounding chunk: the ground rules (head, body) a rule produced
-/// over one pre-order range.
-type GroundChunk = Vec<(GroundAtom, Vec<GroundAtom>)>;
 
 fn note_kernel(metrics: &Metrics, chunks: usize) {
     use std::sync::atomic::Ordering;
@@ -174,53 +164,6 @@ impl treequery_cq::AxisSweeper for PoolSweeper<'_> {
     }
 }
 
-/// Parallel Theorem 3.2 pipeline: grounds `prog` in `(rule, node-range)`
-/// chunks on the pool, reassembles a Horn formula **byte-identical** to
-/// the sequential `ground()` (tasks are submitted rule-major with
-/// ascending ranges and results consumed in submission order, and atom
-/// interning is bodies-before-head per ground rule, exactly like the
-/// sequential grounder), then runs one Minoux solve and extracts the
-/// query predicate — the same [`NodeSet`] `datalog::eval_query` returns.
-/// At one worker it is `datalog::eval_query` itself: chunked grounding
-/// costs more than the sequential grounder when nothing runs beside it.
-pub fn par_datalog_eval_query(
-    prog: &Program,
-    t: &Tree,
-    workers: usize,
-    metrics: &Metrics,
-) -> NodeSet {
-    if workers <= 1 {
-        return treequery_datalog::eval_query(prog, t);
-    }
-    let q = prog.query.expect("program has no query predicate");
-    let n = t.len();
-    let ranges = pre_ranges(n, workers);
-    let mut tasks: Vec<ScopedTask<'_, GroundChunk>> = Vec::new();
-    for rule in &prog.rules {
-        for r in &ranges {
-            let r = r.clone();
-            tasks.push(Box::new(move || {
-                let mut span = treequery_obs::span("exec.ground_chunk");
-                span.record_u64("nodes", u64::from(r.end - r.start));
-                ground_rule_chunk(rule, t, r)
-            }));
-        }
-    }
-    if tasks.len() > 1 {
-        note_kernel(metrics, tasks.len());
-    }
-    let chunks = WorkerPool::global().run_scoped(workers, tasks);
-    let (formula, atoms) = treequery_hornsat::assemble_ground_chunks(chunks);
-    let solution = formula.solve();
-    let mut out = NodeSet::empty(n);
-    for (var, &(pred, node)) in atoms.iter() {
-        if pred == q && solution.is_true(var) {
-            out.insert(node);
-        }
-    }
-    out
-}
-
 /// Parallel Theorem 5.1 evaluation: rewrites `q` to a union of acyclic
 /// queries once, then evaluates each part (its own full-reducer semijoin
 /// program over its join tree) as an independent pool task. Parts are
@@ -348,29 +291,6 @@ mod tests {
             let snap = m.snapshot();
             assert_eq!(snap.parallel_kernels, 0, "{workers} workers");
             assert_eq!(snap.parallel_chunks, 0, "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn par_datalog_matches_sequential_eval_query() {
-        let progs = [
-            "Q(x) :- label(x, a).\n?- Q.",
-            "Q(x) :- P(y), firstchild(x, y).\nP(x) :- leaf(x).\n?- Q.",
-            "Q(x) :- label(x, b), child(y, x), P0(y).\nP0(y) :- label(y, a).\n?- Q.",
-        ];
-        let mut rng = StdRng::seed_from_u64(79);
-        let t = random_recursive_tree(&mut rng, 90, &["a", "b"]);
-        let m = metrics();
-        for src in progs {
-            let prog = treequery_datalog::parse_program(src).unwrap();
-            let seq = treequery_datalog::eval_query(&prog, &t);
-            for workers in [1usize, 2, 8] {
-                assert_eq!(
-                    par_datalog_eval_query(&prog, &t, workers, &m),
-                    seq,
-                    "{src} with {workers} workers"
-                );
-            }
         }
     }
 

@@ -153,9 +153,6 @@ impl ExplainedPlan {
         let workers = config.workers.unwrap_or_else(default_workers).max(1);
         let kernel = match self.strategy {
             Strategy::XPathSetAtATime => Some("pre-order range partition of the sweeps"),
-            Strategy::XPathViaDatalog | Strategy::DatalogGround => {
-                Some("per-node-range grounding chunks, assembled in rule-major order")
-            }
             Strategy::CqRewriteUnion(k) if k >= 2 => {
                 Some("independent acyclic union parts, merged into one BTree")
             }

@@ -62,50 +62,11 @@ fn bin_backward(tree: &Tree, rel: BinRel, y: NodeId) -> Option<NodeId> {
 /// the *extensional* atoms of the body; intensional atoms are ignored (they
 /// become Horn body literals). `emit` receives the full assignment.
 pub(crate) fn for_each_match(rule: &Rule, tree: &Tree, emit: &mut impl FnMut(&[NodeId])) {
-    for_each_match_in(rule, tree, None, emit);
-}
-
-/// Like [`for_each_match`], but when `first_range` is given, the *first*
-/// planned variable binding iterates only the [`NodeId`]s in that range
-/// instead of the whole domain.
-///
-/// The match plan always starts with a `BindFree` step (nothing is bound
-/// initially, so no check/traverse step is eligible), and that step
-/// iterates nodes in ascending `NodeId` order — so the matches emitted
-/// for ascending, disjoint ranges covering the domain concatenate to
-/// exactly the unrestricted match sequence. This is what makes the
-/// chunked parallel grounding byte-identical to the sequential one.
-pub(crate) fn for_each_match_in(
-    rule: &Rule,
-    tree: &Tree,
-    first_range: Option<std::ops::Range<u32>>,
-    emit: &mut impl FnMut(&[NodeId]),
-) {
     let binaries = rule_binaries(rule);
     let plan = build_plan(rule, &binaries, None);
     let filters = rule_filters(rule);
-
-    // A variable-free rule has an empty plan and exactly one (empty)
-    // match; attribute it to the range containing node 0 so disjoint
-    // ranges covering the domain still emit it exactly once.
-    if plan.is_empty() {
-        if let Some(r) = &first_range {
-            if r.start != 0 {
-                return;
-            }
-        }
-    }
     let mut assignment = vec![NodeId(0); (rule.num_vars as usize).max(1)];
-    run(
-        &plan,
-        0,
-        tree,
-        &binaries,
-        &mut assignment,
-        &filters,
-        &first_range,
-        emit,
-    );
+    run(&plan, 0, tree, &binaries, &mut assignment, &filters, emit);
 }
 
 /// Enumerates the matches in which variable `var` is bound to exactly
@@ -126,16 +87,7 @@ pub(crate) fn for_each_match_pinned(
     let filters = rule_filters(rule);
     let mut assignment = vec![NodeId(0); (rule.num_vars as usize).max(1)];
     assignment[var.index()] = node;
-    run(
-        &plan,
-        0,
-        tree,
-        &binaries,
-        &mut assignment,
-        &filters,
-        &None,
-        emit,
-    );
+    run(&plan, 0, tree, &binaries, &mut assignment, &filters, emit);
 }
 
 fn rule_binaries(rule: &Rule) -> Vec<(BinRel, VarId, VarId)> {
@@ -240,7 +192,6 @@ fn build_plan(
 // Depth-first execution of the plan. Unary extensional filters are
 // applied once the assignment is complete (rule bodies are tiny, so late
 // filtering is fine).
-#[allow(clippy::too_many_arguments)]
 fn run(
     plan: &[Step],
     step: usize,
@@ -248,7 +199,6 @@ fn run(
     binaries: &[(BinRel, VarId, VarId)],
     assignment: &mut Vec<NodeId>,
     filters: &[(&BasePred, VarId)],
-    first_range: &Option<std::ops::Range<u32>>,
     emit: &mut impl FnMut(&[NodeId]),
 ) {
     let Some(s) = plan.get(step) else {
@@ -262,37 +212,15 @@ fn run(
     };
     match s {
         Step::BindFree(v) => {
-            let nodes: Box<dyn Iterator<Item = NodeId>> = match (step, first_range) {
-                (0, Some(r)) => Box::new(r.clone().map(NodeId)),
-                _ => Box::new(tree.nodes()),
-            };
-            for node in nodes {
+            for node in tree.nodes() {
                 assignment[v.index()] = node;
-                run(
-                    plan,
-                    step + 1,
-                    tree,
-                    binaries,
-                    assignment,
-                    filters,
-                    first_range,
-                    emit,
-                );
+                run(plan, step + 1, tree, binaries, assignment, filters, emit);
             }
         }
         Step::Check(i) => {
             let (r, x, y) = binaries[*i];
             if bin_holds(tree, r, assignment[x.index()], assignment[y.index()]) {
-                run(
-                    plan,
-                    step + 1,
-                    tree,
-                    binaries,
-                    assignment,
-                    filters,
-                    first_range,
-                    emit,
-                );
+                run(plan, step + 1, tree, binaries, assignment, filters, emit);
             }
         }
         Step::Traverse { idx, forward } => {
@@ -300,29 +228,11 @@ fn run(
             if *forward {
                 for node in bin_forward(tree, r, assignment[x.index()]) {
                     assignment[y.index()] = node;
-                    run(
-                        plan,
-                        step + 1,
-                        tree,
-                        binaries,
-                        assignment,
-                        filters,
-                        first_range,
-                        emit,
-                    );
+                    run(plan, step + 1, tree, binaries, assignment, filters, emit);
                 }
             } else if let Some(node) = bin_backward(tree, r, assignment[y.index()]) {
                 assignment[x.index()] = node;
-                run(
-                    plan,
-                    step + 1,
-                    tree,
-                    binaries,
-                    assignment,
-                    filters,
-                    first_range,
-                    emit,
-                );
+                run(plan, step + 1, tree, binaries, assignment, filters, emit);
             }
         }
     }
@@ -365,91 +275,11 @@ pub fn ground(prog: &Program, tree: &Tree) -> (HornFormula, AtomTable<GroundAtom
     (formula, atoms)
 }
 
-/// The ground instances contributed by one rule when its first planned
-/// variable binding is restricted to the [`NodeId`] range `range`,
-/// as `(head, body)` ground-atom pairs in match order.
-///
-/// Because the match plan's first step iterates nodes in ascending id
-/// order (see `for_each_match_in`), concatenating the chunks of
-/// ascending, disjoint ranges covering `0..tree.len()` reproduces the
-/// rule's full match sequence exactly. Feeding all rules' chunks in
-/// rule-major, range-ascending order to
-/// `treequery_hornsat::assemble_ground_chunks` therefore yields a
-/// formula and atom table byte-identical to [`ground`] — which is how
-/// the parallel executor grounds chunks on a worker pool without
-/// perturbing the output.
-pub fn ground_rule_chunk(
-    rule: &Rule,
-    tree: &Tree,
-    range: std::ops::Range<u32>,
-) -> Vec<(GroundAtom, Vec<GroundAtom>)> {
-    let intensional: Vec<(PredId, VarId)> = rule
-        .body
-        .iter()
-        .filter_map(|a| match a {
-            BodyAtom::Unary(UnaryRef::Pred(p), v) => Some((*p, *v)),
-            _ => None,
-        })
-        .collect();
-    let mut out = Vec::new();
-    for_each_match_in(rule, tree, Some(range), &mut |assignment| {
-        let body: Vec<GroundAtom> = intensional
-            .iter()
-            .map(|&(p, v)| (p, assignment[v.index()]))
-            .collect();
-        out.push(((rule.head, assignment[rule.head_var.index()]), body));
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_program;
     use treequery_tree::parse_term;
-
-    /// Rule-major, range-ascending chunk assembly must reproduce the
-    /// sequential grounding exactly: same rules in the same order, same
-    /// atom interning order.
-    #[test]
-    fn chunked_grounding_is_byte_identical_to_sequential() {
-        let programs = [
-            "P(x) :- nextsibling(x, y).",
-            "P(x) :- firstchild(x, y), leaf(y).",
-            "P(x) :- root(x), Q(y).",
-            "P(x) :- P0(x0), nextsibling(x0, x).",
-            "P(x) :- child(x, y), Q(y).",
-        ];
-        let tree = parse_term("r(a(b c) d(e(f) g) h)").unwrap();
-        let n = tree.len() as u32;
-        for src in programs {
-            let prog = parse_program(src).unwrap();
-            let (formula, atoms) = ground(&prog, &tree);
-            for chunks in [1u32, 2, 3, n] {
-                let step = n.div_ceil(chunks);
-                let mut all = Vec::new();
-                for rule in &prog.rules {
-                    let mut lo = 0;
-                    while lo < n {
-                        let hi = (lo + step).min(n);
-                        all.push(ground_rule_chunk(rule, &tree, lo..hi));
-                        lo = hi;
-                    }
-                }
-                let (f2, a2) = treequery_hornsat::assemble_ground_chunks(all);
-                assert_eq!(f2.num_rules(), formula.num_rules(), "{src}");
-                assert_eq!(f2.num_vars(), formula.num_vars(), "{src}");
-                let seq: Vec<_> = atoms.iter().map(|(_, a)| *a).collect();
-                let par: Vec<_> = a2.iter().map(|(_, a)| *a).collect();
-                assert_eq!(par, seq, "atom interning order for {src}");
-                for i in 0..formula.num_rules() {
-                    let r = treequery_hornsat::RuleId(i as u32);
-                    assert_eq!(f2.head(r), formula.head(r), "{src} rule {i}");
-                    assert_eq!(f2.body(r), formula.body(r), "{src} rule {i}");
-                }
-            }
-        }
-    }
 
     #[test]
     fn ground_counts_matches() {

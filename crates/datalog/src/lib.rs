@@ -31,6 +31,6 @@ mod tmnf;
 pub use ast::{BasePred, BinRel, BodyAtom, PredId, Program, Rule, UnaryRef, VarId};
 pub use eval::{eval, eval_naive, eval_query, IncrementalEval, PendingEdit};
 pub use features::{features, ProgramFeatures};
-pub use ground::{ground, ground_rule_chunk, GroundAtom};
+pub use ground::{ground, GroundAtom};
 pub use parser::{parse_program, ParseError};
 pub use tmnf::{to_tmnf, TmnfError};

@@ -78,9 +78,9 @@ pub enum Category {
     /// CQ inputs checked against the metamorphic laws.
     CqLaws,
     /// Edit scripts: after each op of a script the incrementally
-    /// maintained document (strategies × worker counts, XASR patching,
-    /// the datalog delta pass) is cross-checked against a from-scratch
-    /// rebuild oracle.
+    /// maintained document (strategies × worker counts, the datalog
+    /// delta pass, the fingerprint) is cross-checked against a
+    /// from-scratch rebuild oracle.
     EditDiff,
 }
 

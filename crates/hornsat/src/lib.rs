@@ -13,5 +13,5 @@
 mod atoms;
 mod minoux;
 
-pub use atoms::{assemble_ground_chunks, AtomTable};
+pub use atoms::AtomTable;
 pub use minoux::{HornFormula, InitialState, RuleId, Solution, Var};

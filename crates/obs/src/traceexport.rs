@@ -5,7 +5,7 @@
 //! `chrome://tracing`: each span becomes a complete (`ph: "X"`) event
 //! with microsecond `ts`/`dur`, `pid` 1, and the span's dense per-thread
 //! id as `tid` — so cross-worker chunk spans (`exec.sweep.chunk`,
-//! `exec.ground_chunk`, …) land on their worker's own track.
+//! `exec.union.part`, …) land on their worker's own track.
 //!
 //! Two modes:
 //!
@@ -153,14 +153,14 @@ pub struct TraceStats {
     /// Distinct `args.query_id` values.
     pub queries: usize,
     /// Events whose name marks parallel chunk work (`*.chunk`,
-    /// `*.part`, `exec.ground_chunk`).
+    /// `*.part`).
     pub chunk_events: usize,
     /// Distinct `tid` values.
     pub threads: usize,
 }
 
 fn is_chunk_span(name: &str) -> bool {
-    name.ends_with(".chunk") || name.ends_with(".part") || name == "exec.ground_chunk"
+    name.ends_with(".chunk") || name.ends_with(".part")
 }
 
 /// Structural check for an exported trace: the top level must be an

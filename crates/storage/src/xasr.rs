@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use treequery_tree::{EditDelta, EditKind, Tree};
+use treequery_tree::Tree;
 
 use crate::relation::Relation;
 
@@ -181,246 +181,6 @@ impl Xasr {
         self.label_bitmap(label)
             .is_some_and(|b| b.contains_pre(pre))
     }
-
-    /// Behavioral equality: `true` iff the two tables answer every probe
-    /// identically — same rows, postings, and bitmap membership per
-    /// label. Weaker than `==` on purpose: a patched table may intern
-    /// label ids in a different order (or retain empty runs) than a
-    /// freshly built one, and neither difference is observable through
-    /// the query API.
-    pub fn equiv(&self, other: &Xasr) -> bool {
-        if self.rows != other.rows {
-            return false;
-        }
-        let labels: std::collections::BTreeSet<&str> = self
-            .rows
-            .iter()
-            .chain(other.rows.iter())
-            .map(|r| r.label.as_str())
-            .collect();
-        labels.into_iter().all(|label| {
-            self.label_list(label) == other.label_list(label)
-                && self.rows.iter().all(|r| {
-                    self.has_label_at_pre(label, r.pre) == other.has_label_at_pre(label, r.pre)
-                })
-        })
-    }
-
-    /// Patches the table in place after one tree edit. `t` is the
-    /// *post-edit* tree and `delta` the description the edit returned.
-    ///
-    /// * **relabel** — one row update, one posting move between the two
-    ///   touched runs, two bit flips;
-    /// * **insert** — one row splice plus constant-shift repairs of the
-    ///   pre/post columns and a bit-insertion across the bitmaps (the
-    ///   bitmaps are rebuilt from the patched postings only when the
-    ///   word width grows, every 64th insertion);
-    /// * **delete** — the subtree's rows occupy contiguous pre and post
-    ///   ranges, so survivors shift by a constant; postings are filtered
-    ///   per run and the bitmaps rebuilt from them (documented O(n/64)
-    ///   policy — a per-label bit *extraction* saves nothing over it).
-    ///
-    /// A refrozen delta falls back to [`Xasr::from_tree`].
-    pub fn apply_edit(&mut self, t: &Tree, delta: &EditDelta) {
-        if delta.refroze {
-            *self = Xasr::from_tree(t);
-            return;
-        }
-        match delta.kind {
-            EditKind::Relabel => {
-                let (old, new) = (
-                    delta.old_label.expect("relabel carries old label"),
-                    delta.new_label.expect("relabel carries new label"),
-                );
-                if old == new {
-                    return;
-                }
-                let pre1 = delta.pre_range.0 + 1;
-                let old_name = self.rows[delta.pre_range.0 as usize].label.clone();
-                let new_name = t.interner().name(new).to_owned();
-                let row = &mut self.rows[delta.pre_range.0 as usize];
-                let post1 = row.post;
-                row.label = new_name.clone();
-                let old_id = self.label_index[&old_name] as usize;
-                self.remove_posting(old_id, pre1);
-                let new_id = self.ensure_label(&new_name);
-                self.insert_posting(new_id, (pre1, post1));
-                let wb = (pre1 - 1) as usize;
-                self.bitmap_words[old_id * self.words_per_label + wb / 64] &= !(1u64 << (wb % 64));
-                self.bitmap_words[new_id * self.words_per_label + wb / 64] |= 1u64 << (wb % 64);
-            }
-            EditKind::Insert => {
-                let node = delta.node.expect("insert carries the new node");
-                let (pre1, post1) = (delta.pre_range.0 + 1, delta.post_range.0 + 1);
-                for r in &mut self.rows {
-                    if r.pre >= pre1 {
-                        r.pre += 1;
-                    }
-                    if r.post >= post1 {
-                        r.post += 1;
-                    }
-                    if let Some(pp) = &mut r.parent_pre {
-                        if *pp >= pre1 {
-                            *pp += 1;
-                        }
-                    }
-                }
-                let label = t.label_name(node).to_owned();
-                self.rows.insert(
-                    (pre1 - 1) as usize,
-                    XasrRow {
-                        pre: pre1,
-                        post: post1,
-                        parent_pre: delta.parent.map(|p| t.pre(p) + 1),
-                        label: label.clone(),
-                    },
-                );
-                for p in &mut self.label_postings {
-                    if p.0 >= pre1 {
-                        p.0 += 1;
-                    }
-                    if p.1 >= post1 {
-                        p.1 += 1;
-                    }
-                }
-                let lab = self.ensure_label(&label);
-                self.insert_posting(lab, (pre1, post1));
-                let want_words = self.rows.len().div_ceil(64);
-                if want_words != self.words_per_label {
-                    self.rebuild_bitmaps();
-                } else {
-                    // Splice a zero bit at pre1-1 into every label block,
-                    // then set it in the new node's label.
-                    let bit = (pre1 - 1) as usize;
-                    let (wb, bb) = (bit / 64, bit % 64);
-                    let low_mask = (1u64 << bb) - 1;
-                    let w = self.words_per_label;
-                    for block in self.bitmap_words.chunks_exact_mut(w) {
-                        let low = block[wb] & low_mask;
-                        let high = block[wb] & !low_mask;
-                        let mut carry = high >> 63;
-                        block[wb] = low | (high << 1);
-                        for word in &mut block[wb + 1..] {
-                            let next = *word >> 63;
-                            *word = (*word << 1) | carry;
-                            carry = next;
-                        }
-                        // n+1 still fits in w*64 bits, so nothing falls off.
-                        debug_assert_eq!(carry, 0);
-                    }
-                    self.bitmap_words[lab * w + wb] |= 1u64 << bb;
-                }
-                #[cfg(debug_assertions)]
-                self.debug_check_bitmaps();
-            }
-            EditKind::Delete => {
-                let k = delta.removed.len() as u32;
-                let (i0, i1) = (delta.pre_range.0 + 1, delta.pre_range.1 + 1);
-                let p1 = delta.post_range.1 + 1;
-                self.rows.drain((i0 - 1) as usize..=(i1 - 1) as usize);
-                for r in &mut self.rows {
-                    if r.pre > i1 {
-                        r.pre -= k;
-                    }
-                    if r.post > p1 {
-                        r.post -= k;
-                    }
-                    if let Some(pp) = &mut r.parent_pre {
-                        if *pp > i1 {
-                            *pp -= k;
-                        }
-                    }
-                }
-                // Filter each posting run in place; runs keep their order.
-                let num_labels = self.label_index.len();
-                let mut out = Vec::with_capacity(self.label_postings.len());
-                let mut offsets = Vec::with_capacity(num_labels + 1);
-                offsets.push(0u32);
-                for lab in 0..num_labels {
-                    let lo = self.label_offsets[lab] as usize;
-                    let hi = self.label_offsets[lab + 1] as usize;
-                    for &(pre, post) in &self.label_postings[lo..hi] {
-                        if pre < i0 || pre > i1 {
-                            out.push((
-                                if pre > i1 { pre - k } else { pre },
-                                if post > p1 { post - k } else { post },
-                            ));
-                        }
-                    }
-                    offsets.push(out.len() as u32);
-                }
-                self.label_postings = out;
-                self.label_offsets = offsets;
-                self.rebuild_bitmaps();
-            }
-        }
-    }
-
-    /// Dense id for `label`, adding an empty run/bitmap block if new.
-    fn ensure_label(&mut self, label: &str) -> usize {
-        if let Some(&i) = self.label_index.get(label) {
-            return i as usize;
-        }
-        let i = self.label_index.len();
-        self.label_index.insert(label.to_owned(), i as u32);
-        let last = *self.label_offsets.last().expect("CSR is non-empty");
-        self.label_offsets.push(last);
-        self.bitmap_words
-            .extend(std::iter::repeat_n(0u64, self.words_per_label));
-        i
-    }
-
-    fn insert_posting(&mut self, lab: usize, pair: (u32, u32)) {
-        let lo = self.label_offsets[lab] as usize;
-        let hi = self.label_offsets[lab + 1] as usize;
-        let pos = self.label_postings[lo..hi].partition_point(|p| p.0 < pair.0);
-        self.label_postings.insert(lo + pos, pair);
-        for o in &mut self.label_offsets[lab + 1..] {
-            *o += 1;
-        }
-    }
-
-    fn remove_posting(&mut self, lab: usize, pre: u32) {
-        let lo = self.label_offsets[lab] as usize;
-        let hi = self.label_offsets[lab + 1] as usize;
-        let pos = self.label_postings[lo..hi].partition_point(|p| p.0 < pre);
-        debug_assert_eq!(self.label_postings[lo + pos].0, pre);
-        self.label_postings.remove(lo + pos);
-        for o in &mut self.label_offsets[lab + 1..] {
-            *o -= 1;
-        }
-    }
-
-    fn rebuild_bitmaps(&mut self) {
-        self.words_per_label = self.rows.len().div_ceil(64);
-        self.bitmap_words = vec![0u64; self.label_index.len() * self.words_per_label];
-        for lab in 0..self.label_index.len() {
-            let lo = self.label_offsets[lab] as usize;
-            let hi = self.label_offsets[lab + 1] as usize;
-            for &(pre, _) in &self.label_postings[lo..hi] {
-                let bit = (pre - 1) as usize;
-                self.bitmap_words[lab * self.words_per_label + bit / 64] |= 1u64 << (bit % 64);
-            }
-        }
-    }
-
-    #[cfg(debug_assertions)]
-    fn debug_check_bitmaps(&self) {
-        for (label, &lab) in &self.label_index {
-            let lo = self.label_offsets[lab as usize] as usize;
-            let hi = self.label_offsets[lab as usize + 1] as usize;
-            let from_postings: std::collections::BTreeSet<u32> =
-                self.label_postings[lo..hi].iter().map(|p| p.0).collect();
-            for r in &self.rows {
-                assert_eq!(
-                    self.has_label_at_pre(label, r.pre),
-                    from_postings.contains(&r.pre),
-                    "bitmap drift for {label} at pre {}",
-                    r.pre
-                );
-            }
-        }
-    }
 }
 
 /// A borrowed per-label bitmap over (1-based) pre-indexes.
@@ -571,112 +331,6 @@ mod tests {
         assert!(!bm.contains_pre(0));
         assert!(!bm.contains_pre(1000));
         assert!(x.label_bitmap("zzz").is_none());
-    }
-
-    /// Behavioral equality: a patched table must answer every probe the
-    /// way a freshly built one does (internal label-id order and retained
-    /// empty runs may legitimately differ).
-    fn assert_xasr_equiv(patched: &Xasr, fresh: &Xasr) {
-        assert_eq!(patched.rows(), fresh.rows());
-        let labels: std::collections::BTreeSet<&str> = patched
-            .rows()
-            .iter()
-            .chain(fresh.rows())
-            .map(|r| r.label.as_str())
-            .collect();
-        for label in labels {
-            assert_eq!(
-                patched.label_list(label),
-                fresh.label_list(label),
-                "postings for {label}"
-            );
-            for r in fresh.rows() {
-                assert_eq!(
-                    patched.has_label_at_pre(label, r.pre),
-                    fresh.has_label_at_pre(label, r.pre),
-                    "{label} bit at pre {}",
-                    r.pre
-                );
-            }
-            assert_eq!(
-                patched.label_bitmap(label).map(|b| b.count()).unwrap_or(0),
-                fresh.label_bitmap(label).map(|b| b.count()).unwrap_or(0),
-                "bit count for {label}"
-            );
-        }
-    }
-
-    #[test]
-    fn apply_edit_matches_from_tree_per_op() {
-        use treequery_tree::EditableTree;
-        let mut et = EditableTree::new(parse_term("a(b(a c) a(b d))").unwrap());
-        let mut x = Xasr::from_tree(et.tree());
-
-        let (_, delta) = et.insert_leaf(et.tree().node_at_pre(1), 1, "e");
-        x.apply_edit(et.tree(), &delta);
-        assert_xasr_equiv(&x, &Xasr::from_tree(et.tree()));
-
-        let delta = et.relabel(et.tree().node_at_pre(3), "b");
-        x.apply_edit(et.tree(), &delta);
-        assert_xasr_equiv(&x, &Xasr::from_tree(et.tree()));
-
-        let delta = et.delete_subtree(et.tree().node_at_pre(1));
-        x.apply_edit(et.tree(), &delta);
-        assert_xasr_equiv(&x, &Xasr::from_tree(et.tree()));
-    }
-
-    #[test]
-    fn apply_edit_matches_from_tree_on_random_scripts() {
-        use treequery_tree::{EditOp, EditableTree};
-        let mut et = EditableTree::new(parse_term("a(b(a c) a(b d))").unwrap());
-        let mut x = Xasr::from_tree(et.tree());
-        let mut state = 0x243F6A8885A308D3u64;
-        let labels = ["a", "b", "c", "d", "e"];
-        for _ in 0..300 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let n = et.tree().len() as u32;
-            let op = match state % 3 {
-                0 => EditOp::InsertLeaf {
-                    parent_pre: (state >> 8) as u32 % n,
-                    child_idx: (state >> 40) as u32 % 4,
-                    label: labels[(state >> 16) as usize % labels.len()].to_owned(),
-                },
-                1 if n > 1 => EditOp::DeleteSubtree {
-                    pre: (state >> 8) as u32 % n,
-                },
-                _ => EditOp::Relabel {
-                    pre: (state >> 8) as u32 % n,
-                    label: labels[(state >> 16) as usize % labels.len()].to_owned(),
-                },
-            };
-            if let Some(delta) = et.apply(&op) {
-                x.apply_edit(et.tree(), &delta);
-            }
-        }
-        assert_xasr_equiv(&x, &Xasr::from_tree(et.tree()));
-    }
-
-    #[test]
-    fn apply_edit_crosses_word_boundaries() {
-        use treequery_tree::EditableTree;
-        // Push the node count across the 64-bit bitmap word boundary and
-        // back, exercising the rebuild path and the splice path.
-        let mut et = EditableTree::new(parse_term("a(b)").unwrap());
-        let mut x = Xasr::from_tree(et.tree());
-        for i in 0..70 {
-            let root = et.tree().root();
-            let (_, delta) = et.insert_leaf(root, 0, if i % 2 == 0 { "b" } else { "c" });
-            x.apply_edit(et.tree(), &delta);
-        }
-        assert_xasr_equiv(&x, &Xasr::from_tree(et.tree()));
-        for _ in 0..20 {
-            let v = et.tree().node_at_pre(1);
-            let delta = et.delete_subtree(v);
-            x.apply_edit(et.tree(), &delta);
-        }
-        assert_xasr_equiv(&x, &Xasr::from_tree(et.tree()));
     }
 
     #[test]

@@ -9,18 +9,25 @@
 //!
 //! * **relabel** — O(1) on the label column plus a splice of the two
 //!   touched per-label posting runs;
-//! * **insert leaf** — O(1) structural relinking, one localized splice
-//!   of the `pre`/`post` rank columns and inverse maps (a contiguous
-//!   memmove), an O(depth) extent repair along the ancestor chain, and
-//!   one binary-searched posting insertion into the new label's run;
+//! * **insert leaf** — O(1) structural relinking, an O(depth) extent
+//!   repair along the ancestor chain, one binary-searched posting
+//!   insertion into the new label's run, and the new leaf's `<bflr`
+//!   rank read off a sibling (or, for a first child, off the nearest
+//!   node with children on the parent's breadth-first level);
 //! * **delete subtree** — the deleted nodes occupy contiguous `pre` and
 //!   `post` ranges, so survivor ranks shift by a constant; node ids are
-//!   compacted in one ordered rewrite that preserves every relative
-//!   order (no re-sorting, no re-hashing, no re-interning).
+//!   compacted in place and order-preserving, so ids below the smallest
+//!   deleted id keep their slots and only the tail moves (edits append
+//!   their leaves, so deleting a recently inserted leaf moves a handful
+//!   of ids); posting entries are dropped by binary search in their
+//!   runs, and the breadth-first inverse map drops the deleted entries
+//!   and re-derives `<bflr` in one pass.
 //!
-//! The breadth-first order is the one column an edit can scramble
-//! arbitrarily, so it is recomputed by a plain BFS (O(n) with a trivial
-//! constant; documented trade-off).
+//! What remains linear in the document per edit is a few branch-free,
+//! allocation-free slice passes: the rank shifts of `pre`, `post`,
+//! `pre_end` and `bflr` (one loop per column, so each vectorises), the
+//! contiguous memmoves of the inverse maps, and on delete the relink
+//! passes that rewrite only id values above the smallest deleted id.
 //!
 //! `PathLabel`s are the document-order authority for insertions: a new
 //! sibling's label comes from [`PathLabel::between`], which never moves
@@ -205,9 +212,9 @@ pub struct RemovedNode {
 
 /// The precise description of one applied edit: which contiguous rank
 /// ranges were spliced and what changed there. Every downstream
-/// incremental consumer (XASR patching, statistics and fingerprint
-/// deltas, plan-cache migration, the datalog delta pass) reads this
-/// instead of diffing trees.
+/// incremental consumer (statistics and fingerprint deltas, path-label
+/// compaction, the datalog delta pass) reads this instead of diffing
+/// trees.
 #[derive(Clone, Debug)]
 pub struct EditDelta {
     /// The kind of edit.
@@ -238,9 +245,10 @@ pub struct EditDelta {
     /// Per-node snapshots of the deleted subtree (deletes only), in pre
     /// order.
     pub removed: Vec<RemovedNode>,
-    /// Old node id → new node id (`u32::MAX` for deleted ids); present
-    /// only for deletes, where id compaction shifts survivors down.
-    pub id_remap: Option<Vec<u32>>,
+    /// Old ids of the deleted nodes, ascending (deletes only). Id
+    /// compaction is order-preserving: a survivor's new id is its old id
+    /// minus the number of removed ids below it ([`EditDelta::remap`]).
+    pub removed_ids: Vec<u32>,
     /// Whether this edit triggered a full refreeze (gap exhaustion):
     /// consumers holding derived state must rebuild rather than patch.
     pub refroze: bool,
@@ -256,13 +264,21 @@ impl EditDelta {
         }
     }
 
-    /// Maps an old node id through the delta's compaction (identity when
-    /// no remap happened; `None` if the node was deleted).
+    /// Maps an old node id through the delta's compaction (identity for
+    /// inserts and relabels; `None` if the node was deleted).
     pub fn remap(&self, v: NodeId) -> Option<NodeId> {
-        match &self.id_remap {
-            None => Some(v),
-            Some(m) => (m[v.index()] != NONE).then(|| NodeId(m[v.index()])),
+        match self.removed_ids.binary_search(&v.0) {
+            Ok(_) => None,
+            Err(below) => Some(NodeId(v.0 - below as u32)),
         }
+    }
+
+    /// Compacts a per-node column indexed by pre-edit ids through the
+    /// same remap as the tree, in place: slots below the smallest removed
+    /// id stay, and the tail moves down. A no-op unless nodes were
+    /// removed.
+    pub fn compact<T>(&self, col: &mut Vec<T>) {
+        compact_ids(col, &self.removed_ids);
     }
 }
 
@@ -405,7 +421,7 @@ impl EditableTree {
             old_labels: Vec::new(),
             new_label: Some(self.tree.label(node)),
             removed: Vec::new(),
-            id_remap: None,
+            removed_ids: Vec::new(),
             refroze,
         };
         (node, delta)
@@ -417,18 +433,8 @@ impl EditableTree {
     /// Panics if `v` is the root.
     pub fn delete_subtree(&mut self, v: NodeId) -> EditDelta {
         self.edits += 1;
-        let mut delta = self.tree.splice_delete_subtree(v);
-        // Compact the path-label column through the same remap.
-        let remap = delta.id_remap.as_ref().expect("delete produces a remap");
-        let mut path = Vec::with_capacity(self.tree.len());
-        for (old, label) in self.path.drain(..).enumerate() {
-            if remap[old] != NONE {
-                debug_assert_eq!(remap[old] as usize, path.len());
-                path.push(label);
-            }
-        }
-        self.path = path;
-        delta.refroze = false;
+        let delta = self.tree.splice_delete_subtree(v);
+        delta.compact(&mut self.path);
         delta
     }
 
@@ -449,7 +455,7 @@ impl EditableTree {
             old_labels,
             new_label: Some(new),
             removed: Vec::new(),
-            id_remap: None,
+            removed_ids: Vec::new(),
             refroze: false,
         }
     }
@@ -532,20 +538,14 @@ impl Tree {
             Some(l) => self.post[l.index()] + 1,
             None => self.post[p] - (self.pre_end[p] - self.pre[p]),
         };
+        let b = self.new_leaf_bflr(parent, left, right);
 
-        // Generic rank shifts (one pass, branch-predictable); the new
-        // slots open at pre `i` and post `np`.
-        for v in 0..n as usize {
-            if self.pre[v] >= i {
-                self.pre[v] += 1;
-            }
-            if self.post[v] >= np {
-                self.post[v] += 1;
-            }
-            if self.pre_end[v] >= i {
-                self.pre_end[v] += 1;
-            }
-        }
+        // Rank shifts, one branch-free pass per column; the new slots
+        // open at pre `i`, post `np` and bflr `b`.
+        shift_up(&mut self.pre, i);
+        shift_up(&mut self.post, np);
+        shift_up(&mut self.pre_end, i);
+        shift_up(&mut self.bflr, b);
         // Ancestors whose extent ended exactly at `i - 1` (the parent
         // chain when appending at the end) now extend through `i`.
         let mut a = parent.0;
@@ -577,7 +577,7 @@ impl Tree {
         self.depth.push(self.depth[p] + 1);
         self.sib_idx.push(child_idx as u32);
         self.pre_end.push(i);
-        self.bflr.push(0); // recomputed below
+        self.bflr.push(b);
 
         // Structural relink.
         match left {
@@ -592,7 +592,7 @@ impl Tree {
         // Inverse maps: one contiguous memmove each.
         self.pre_to_node.insert(i as usize, id);
         self.post_to_node.insert(np as usize, id);
-        self.recompute_bflr();
+        self.bflr_to_node.insert(b as usize, id);
 
         // Posting repair: only the new label's run changes; every other
         // run keeps its node ids, whose relative pre order is untouched.
@@ -602,9 +602,57 @@ impl Tree {
         (id, i, np)
     }
 
+    /// The `<bflr` rank a new leaf under `parent` takes between its
+    /// `left` and `right` siblings, read from the pre-splice columns.
+    /// Next to a sibling it is that sibling's neighbour. A first child
+    /// goes where the children of the parent's breadth-first level are
+    /// grouped by parent: before the first child of the nearest later
+    /// node on that level that has children, else after the last child
+    /// of the nearest earlier one, else (the level below is empty) at
+    /// the end of the parent's level.
+    fn new_leaf_bflr(&self, parent: NodeId, left: Option<NodeId>, right: Option<NodeId>) -> u32 {
+        if let Some(l) = left {
+            return self.bflr[l.index()] + 1;
+        }
+        if let Some(r) = right {
+            return self.bflr[r.index()];
+        }
+        let d = self.depth[parent.index()];
+        let at = self.bflr[parent.index()] as usize;
+        let on_level = |u: NodeId| self.depth[u.index()] == d;
+        let mut level_end = at + 1;
+        for &u in self.bflr_to_node[at + 1..]
+            .iter()
+            .take_while(|&&u| on_level(u))
+        {
+            let c = self.first_child[u.index()];
+            if c != NONE {
+                return self.bflr[c as usize];
+            }
+            level_end += 1;
+        }
+        if let Some(&u) = self.bflr_to_node[..at]
+            .iter()
+            .rev()
+            .take_while(|&&u| on_level(u))
+            .find(|&&u| self.last_child[u.index()] != NONE)
+        {
+            return self.bflr[self.last_child[u.index()] as usize] + 1;
+        }
+        level_end as u32
+    }
+
     /// Deletes the subtree rooted at `v` (non-root), compacting node ids
     /// and shifting survivor ranks by the subtree size. Returns the
-    /// delta (with `removed` snapshots and the id remap).
+    /// delta (with `removed` snapshots and the removed ids).
+    ///
+    /// Compaction is order-preserving and in place: ids below the
+    /// smallest removed id `d0` keep their slots, and only the tail of
+    /// each column moves down. Edits append their new leaves, so the
+    /// leaves a recent insert created hold the highest ids and deleting
+    /// one moves almost nothing; what stays `O(n)` are the branch-free
+    /// rank shifts and the relink passes, which rewrite only values
+    /// above `d0`.
     pub(crate) fn splice_delete_subtree(&mut self, v: NodeId) -> EditDelta {
         assert!(!self.is_root(v), "cannot delete the root");
         let n = self.len();
@@ -616,17 +664,21 @@ impl Tree {
         let parent_old_fanout = self.children(parent).count() as u32;
 
         // Snapshot the doomed nodes (pre order) while they are intact.
-        let mut deleted = vec![false; n];
         let mut removed = Vec::with_capacity(k as usize);
-        for r in i0..=i1 {
-            let d = self.pre_to_node[r as usize];
-            deleted[d.index()] = true;
+        let mut removed_ids = Vec::with_capacity(k as usize);
+        for &d in &self.pre_to_node[i0 as usize..=i1 as usize] {
+            removed_ids.push(d.0);
             removed.push(RemovedNode {
                 depth: self.depth[d.index()],
                 fanout: self.children(d).count() as u32,
                 labels: self.labels(d).collect(),
             });
         }
+        removed_ids.sort_unstable();
+        let mut dead_ranks: Vec<u32> = removed_ids.iter().map(|&d| self.bflr[d as usize]).collect();
+        dead_ranks.sort_unstable();
+        // Posting entries go first, while ids and pre ranks are old.
+        self.remove_postings(i0..=i1);
 
         // Structural unlink of `v` and sibling position repair.
         let (prev, next) = (self.prev_sibling[v.index()], self.next_sibling[v.index()]);
@@ -646,106 +698,104 @@ impl Tree {
             c = self.next_sibling[c as usize];
         }
 
-        // Old id → new id by prefix sum over the survivor bitmap.
-        let mut remap = vec![NONE; n];
-        let mut next_id = 0u32;
-        for (old, slot) in remap.iter_mut().enumerate() {
-            if !deleted[old] {
+        // Old id -> new id for the tail `d0..n` (`NONE` for removed ids).
+        let d0 = removed_ids[0];
+        let mut tail = vec![NONE; n - d0 as usize];
+        let mut dead = removed_ids.iter().peekable();
+        let mut next_id = d0;
+        for (old, slot) in (d0..).zip(tail.iter_mut()) {
+            if dead.next_if_eq(&&old).is_none() {
                 *slot = next_id;
                 next_id += 1;
             }
         }
 
-        // One ordered rewrite of every per-node column. Relative orders
-        // are preserved, so ranks just shift by `k` past the splice.
-        let m = n - k as usize;
-        let relink = |val: u32, remap: &[u32]| {
-            if val == NONE {
-                NONE
-            } else {
-                remap[val as usize]
-            }
-        };
-        macro_rules! compact {
-            ($field:ident, $map:expr) => {{
-                let mut out = Vec::with_capacity(m);
-                for (old, dead) in deleted.iter().enumerate().take(n) {
-                    if !dead {
-                        out.push($map(self.$field[old]));
-                    }
-                }
-                self.$field = out;
-            }};
+        // Per-node columns: the tail moves down in place.
+        compact_ids(&mut self.parent, &removed_ids);
+        compact_ids(&mut self.first_child, &removed_ids);
+        compact_ids(&mut self.last_child, &removed_ids);
+        compact_ids(&mut self.next_sibling, &removed_ids);
+        compact_ids(&mut self.prev_sibling, &removed_ids);
+        compact_ids(&mut self.label, &removed_ids);
+        compact_ids(&mut self.depth, &removed_ids);
+        compact_ids(&mut self.sib_idx, &removed_ids);
+        compact_ids(&mut self.pre, &removed_ids);
+        compact_ids(&mut self.post, &removed_ids);
+        compact_ids(&mut self.pre_end, &removed_ids);
+        compact_ids(&mut self.bflr, &removed_ids);
+        self.compact_extras(&tail, d0 as usize);
+        let links = [
+            &mut self.parent,
+            &mut self.first_child,
+            &mut self.last_child,
+            &mut self.next_sibling,
+            &mut self.prev_sibling,
+        ];
+        for col in links {
+            relink_ids(col, d0, &tail);
         }
-        compact!(parent, |x| relink(x, &remap));
-        compact!(first_child, |x| relink(x, &remap));
-        compact!(last_child, |x| relink(x, &remap));
-        compact!(next_sibling, |x| relink(x, &remap));
-        compact!(prev_sibling, |x| relink(x, &remap));
-        compact!(label, |x| x);
-        compact!(depth, |x| x);
-        compact!(sib_idx, |x| x);
-        compact!(pre, |x: u32| if x > i1 { x - k } else { x });
-        compact!(post, |x: u32| if x > p1 { x - k } else { x });
-        compact!(pre_end, |x: u32| if x >= i1 { x - k } else { x });
 
-        // Extras CSR for survivors.
-        let mut extra_offsets = Vec::with_capacity(m + 1);
-        let mut extra_syms = Vec::new();
-        extra_offsets.push(0u32);
-        for (old, dead) in deleted.iter().enumerate().take(n) {
-            if !dead {
-                let lo = self.extra_offsets[old] as usize;
-                let hi = self.extra_offsets[old + 1] as usize;
-                extra_syms.extend_from_slice(&self.extra_syms[lo..hi]);
-                extra_offsets.push(extra_syms.len() as u32);
-            }
-        }
-        self.extra_offsets = extra_offsets;
-        self.extra_syms = extra_syms;
+        // Survivor ranks past the deleted ranges shift down by `k`;
+        // ancestors whose extent ended at `i1` now end at `i0 - 1`.
+        shift_down(&mut self.pre, i1, k);
+        shift_down(&mut self.post, p1, k);
+        shift_down(&mut self.pre_end, i1 - 1, k);
 
-        // Inverse maps: drain the contiguous deleted ranges, remap ids.
+        // Inverse maps: drain the contiguous deleted ranges, relink ids.
         self.pre_to_node.drain(i0 as usize..=i1 as usize);
         self.post_to_node.drain(p0 as usize..=p1 as usize);
-        for v in self.pre_to_node.iter_mut().chain(&mut self.post_to_node) {
-            *v = NodeId(remap[v.index()]);
-        }
-        self.root = NodeId(remap[self.root.index()]);
-        self.recompute_bflr();
+        relink_ids(&mut self.pre_to_node, d0, &tail);
+        relink_ids(&mut self.post_to_node, d0, &tail);
+        relink_ids(&mut self.label_postings, d0, &tail);
+        relink_ids(std::slice::from_mut(&mut self.root), d0, &tail);
 
-        // Posting runs: drop deleted entries, remap survivors; each run
-        // stays pre-sorted because survivor order is unchanged.
-        let num_syms = self.label_offsets.len() - 1;
-        let mut new_postings = Vec::with_capacity(self.label_postings.len());
-        let mut new_offsets = Vec::with_capacity(num_syms + 1);
-        new_offsets.push(0u32);
-        for s in 0..num_syms {
-            let lo = self.label_offsets[s] as usize;
-            let hi = self.label_offsets[s + 1] as usize;
-            for &node in &self.label_postings[lo..hi] {
-                if !deleted[node.index()] {
-                    new_postings.push(NodeId(remap[node.index()]));
-                }
-            }
-            new_offsets.push(new_postings.len() as u32);
+        // Breadth-first order: the removed nodes' entries drop out of
+        // `bflr_to_node`, and `bflr` is re-derived from the first removed
+        // rank on (ranks before it are unchanged).
+        compact_ids(&mut self.bflr_to_node, &dead_ranks);
+        relink_ids(&mut self.bflr_to_node, d0, &tail);
+        let first = dead_ranks[0];
+        for (r, &u) in (first..).zip(&self.bflr_to_node[first as usize..]) {
+            self.bflr[u.index()] = r;
         }
-        self.label_offsets = new_offsets;
-        self.label_postings = new_postings;
 
+        let mut parent = parent;
+        relink_ids(std::slice::from_mut(&mut parent), d0, &tail);
         EditDelta {
             kind: EditKind::Delete,
             pre_range: (i0, i1),
             post_range: (p0, p1),
             node: None,
-            parent: Some(NodeId(remap[parent.index()])),
+            parent: Some(parent),
             parent_old_fanout,
             old_label: None,
             old_labels: Vec::new(),
             new_label: None,
             removed,
-            id_remap: Some(remap),
+            removed_ids,
             refroze: false,
         }
+    }
+
+    /// Moves the extras CSR's tail down in place over the removed ids
+    /// (`tail[j]` is the new id of old id `d0 + j`, `NONE` if removed).
+    fn compact_extras(&mut self, tail: &[u32], d0: usize) {
+        let mut out = self.extra_offsets[d0];
+        let mut lo = out;
+        let mut w = d0;
+        for (j, &new) in tail.iter().enumerate() {
+            let hi = self.extra_offsets[d0 + j + 1];
+            if new != NONE {
+                self.extra_syms
+                    .copy_within(lo as usize..hi as usize, out as usize);
+                out += hi - lo;
+                w += 1;
+                self.extra_offsets[w] = out;
+            }
+            lo = hi;
+        }
+        self.extra_offsets.truncate(w + 1);
+        self.extra_syms.truncate(out as usize);
     }
 
     /// Replaces the primary label of `v`, splicing the node between the
@@ -811,9 +861,34 @@ impl Tree {
         }
     }
 
-    /// Recomputes the breadth-first order from the structural links —
-    /// the one column a localized splice cannot repair (an insert can
-    /// move arbitrarily many BFS ranks).
+    /// Drops the posting entries of the nodes at pre ranks `ranks`: each
+    /// entry is found by binary search in its label's run, and the CSR
+    /// is compacted once from the first dropped entry on.
+    fn remove_postings(&mut self, ranks: std::ops::RangeInclusive<u32>) {
+        let mut dropped = Vec::new();
+        for r in ranks {
+            let v = self.pre_to_node[r as usize];
+            for sym in self.labels(v) {
+                let s = sym.0 as usize;
+                let lo = self.label_offsets[s] as usize;
+                let hi = self.label_offsets[s + 1] as usize;
+                let pos = self.label_postings[lo..hi].partition_point(|&u| self.pre[u.index()] < r);
+                debug_assert!(self.label_postings.get(lo + pos) == Some(&v));
+                dropped.push((lo + pos) as u32);
+            }
+        }
+        dropped.sort_unstable();
+        compact_ids(&mut self.label_postings, &dropped);
+        // Each run boundary moves down by the entries dropped before it.
+        let mut below = 0;
+        for o in &mut self.label_offsets[1..] {
+            below += dropped[below..].partition_point(|&d| d < *o);
+            *o -= below as u32;
+        }
+    }
+
+    /// Recomputes the breadth-first order from the structural links, for
+    /// the refreeze's full rebuild (edits patch the order in place).
     fn recompute_bflr(&mut self) {
         let n = self.len();
         self.bflr_to_node.clear();
@@ -910,6 +985,84 @@ impl Tree {
         self.label_offsets = offsets;
         self.label_postings = postings;
     }
+}
+
+/// Opens a rank slot at `at`: every rank at or past it moves up by one.
+fn shift_up(col: &mut [u32], at: u32) {
+    for x in col {
+        *x += u32::from(*x >= at);
+    }
+}
+
+/// Closes `k` rank slots: every rank past `past` moves down by `k`.
+fn shift_down(col: &mut [u32], past: u32, k: u32) {
+    for x in col {
+        *x -= k * u32::from(*x > past);
+    }
+}
+
+/// An entry of an id-valued column (a raw link or a [`NodeId`]).
+trait IdValue: Copy {
+    fn raw(self) -> u32;
+    fn set(&mut self, id: u32);
+}
+
+impl IdValue for u32 {
+    fn raw(self) -> u32 {
+        self
+    }
+    fn set(&mut self, id: u32) {
+        *self = id;
+    }
+}
+
+impl IdValue for NodeId {
+    fn raw(self) -> u32 {
+        self.0
+    }
+    fn set(&mut self, id: u32) {
+        self.0 = id;
+    }
+}
+
+/// Rewrites every id in `col` that lies in `d0..d0 + tail.len()` to
+/// `tail[id - d0]`. Each chunk is first scanned branch-free (a
+/// vectorised compare) and rewritten only if it holds such an id, so the
+/// pass costs one sequential read plus work proportional to the ids
+/// that point into the moved tail.
+fn relink_ids<T: IdValue>(col: &mut [T], d0: u32, tail: &[u32]) {
+    let len = tail.len() as u32;
+    for chunk in col.chunks_mut(64) {
+        let hit = chunk
+            .iter()
+            .fold(false, |hit, x| hit | (x.raw().wrapping_sub(d0) < len));
+        if hit {
+            for x in chunk {
+                let j = x.raw().wrapping_sub(d0);
+                if j < len {
+                    x.set(tail[j as usize]);
+                }
+            }
+        }
+    }
+}
+
+/// Removes the entries at the ascending indexes `dead` from `col`, in
+/// place and order-preserving: entries before `dead[0]` stay put, and
+/// the tail moves down over the gaps.
+pub(crate) fn compact_ids<T>(col: &mut Vec<T>, dead: &[u32]) {
+    let Some(&first) = dead.first() else {
+        return;
+    };
+    let mut dead = dead.iter().peekable();
+    let mut w = first as usize;
+    for r in first as usize..col.len() {
+        if dead.next_if_eq(&&(r as u32)).is_none() {
+            col.swap(w, r);
+            w += 1;
+        }
+    }
+    col.truncate(w);
 }
 
 #[cfg(test)]
@@ -1024,6 +1177,90 @@ mod tests {
             assert_eq!(delta.nodes_delta(), -(size as i64));
             assert_index_equiv(et.tree(), &rebuild(et.tree()));
             et.assert_labels_consistent();
+        }
+    }
+
+    /// Inserts leaves labeled `z0..` as last children of the given
+    /// nodes and returns their ids, oldest first.
+    fn insert_leaves(et: &mut EditableTree, parents: &[u32]) -> Vec<NodeId> {
+        parents
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| {
+                let p = NodeId(id);
+                let fanout = et.tree().children(p).count();
+                et.insert_leaf(p, fanout, &format!("z{i}")).0
+            })
+            .collect()
+    }
+
+    #[test]
+    fn deleting_the_newest_and_oldest_inserted_leaves_matches_rebuild() {
+        let base = parse_term("r(a(b c) d(e(f)) g)").unwrap();
+        let n = base.len() as u32;
+        let mut et = EditableTree::new(base);
+        let leaves = insert_leaves(&mut et, &[1, 4, 0, 6, 2]);
+        assert_eq!(leaves.last().unwrap().0, n + 4, "appended ids");
+        // The newest leaf holds the highest id: nothing moves.
+        let newest = *leaves.last().unwrap();
+        let delta = et.delete_subtree(newest);
+        assert_eq!(delta.removed_ids, vec![newest.0]);
+        assert_eq!(delta.remap(NodeId(3)), Some(NodeId(3)));
+        assert_eq!(delta.remap(newest), None);
+        assert_index_equiv(et.tree(), &rebuild(et.tree()));
+        et.assert_labels_consistent();
+        // The oldest inserted leaf holds the smallest appended id: the
+        // three newer ones move down by one.
+        let oldest = leaves[0];
+        let delta = et.delete_subtree(oldest);
+        assert_eq!(delta.remap(leaves[3]), Some(NodeId(leaves[3].0 - 1)));
+        assert_index_equiv(et.tree(), &rebuild(et.tree()));
+        et.assert_labels_consistent();
+        for (i, &old) in leaves[1..4].iter().enumerate() {
+            let v = delta.remap(old).expect("survivor");
+            assert_eq!(et.tree().label_name(v), format!("z{}", i + 1));
+        }
+    }
+
+    #[test]
+    fn deleting_a_low_id_original_subtree_moves_appended_ids() {
+        let base = parse_term("r(a(b c) d(e(f)) g)").unwrap();
+        let mut et = EditableTree::new(base);
+        insert_leaves(&mut et, &[0, 6, 5, 7]);
+        // `a(b c)` holds ids 1..=3; every later id shifts down by three.
+        let a = et.tree().node_at_pre(1);
+        assert_eq!(a, NodeId(1));
+        let delta = et.delete_subtree(a);
+        assert_eq!(delta.removed_ids, vec![1, 2, 3]);
+        assert_index_equiv(et.tree(), &rebuild(et.tree()));
+        et.assert_labels_consistent();
+        assert_eq!(to_term(et.tree()), "r(d(e(f(z1) z2)) g(z3) z0)");
+        // Edits keep composing on the compacted ids.
+        insert_leaves(&mut et, &[2, 1]);
+        et.delete_subtree(et.tree().node_at_pre(1));
+        assert_index_equiv(et.tree(), &rebuild(et.tree()));
+        et.assert_labels_consistent();
+    }
+
+    #[test]
+    fn first_child_bflr_slot_follows_the_parent_level() {
+        // Every level-1 neighbour is childless and the level below is
+        // empty: the new leaf ends the order.
+        for parent in 1..4 {
+            let mut et = EditableTree::new(parse_term("r(a b c)").unwrap());
+            insert_leaves(&mut et, &[parent]);
+            assert_index_equiv(et.tree(), &rebuild(et.tree()));
+        }
+        // Neighbours with children on either side or only one side: the
+        // slot is before the next one's first child, or after the
+        // previous one's last child.
+        for term in ["r(a(x y) b c(z))", "r(a(x y) b c)", "r(a b c(z w))"] {
+            let base = parse_term(term).unwrap();
+            for parent in base.nodes().filter(|&v| base.first_child(v).is_none()) {
+                let mut et = EditableTree::new(base.clone());
+                insert_leaves(&mut et, &[parent.0]);
+                assert_index_equiv(et.tree(), &rebuild(et.tree()));
+            }
         }
     }
 
